@@ -84,9 +84,16 @@ class Reader {
     std::size_t len = 0;
     if (!(is_ >> len)) return false;
     is_.get();  // the separator
+    if (len > remaining()) return false;
     out->resize(len);
     is_.read(out->data(), static_cast<std::streamsize>(len));
     return is_.gcount() == static_cast<std::streamsize>(len);
+  }
+  /// Unread bytes. Each item a count or length announces takes at least
+  /// one byte, so a count above this is corrupt and must not size a buffer.
+  std::size_t remaining() {
+    std::streamsize n = is_.rdbuf()->in_avail();
+    return n > 0 ? static_cast<std::size_t>(n) : 0;
   }
   bool kv(const char* k, double* out) { return key(k) && value(out); }
   bool kv(const char* k, std::int64_t* out) { return key(k) && value(out); }
@@ -290,7 +297,10 @@ bool decode_result(const std::string& text, exp::ExperimentResult* out) {
   if (!r.kv("coordinator_wait_s", &res.coordinator_wait_s)) return false;
 
   std::int64_t jobs = 0;
-  if (!r.kv("jobs", &jobs) || jobs < 0) return false;
+  if (!r.kv("jobs", &jobs) || jobs < 0 ||
+      static_cast<std::uint64_t>(jobs) > r.remaining()) {
+    return false;
+  }
   res.jobs.reserve(static_cast<std::size_t>(jobs));
   for (std::int64_t i = 0; i < jobs; ++i) {
     exp::JobResult j;
@@ -301,7 +311,10 @@ bool decode_result(const std::string& text, exp::ExperimentResult* out) {
     if (!r.kv("iterations", &j.iterations)) return false;
     if (!r.kv("finished", &j.finished)) return false;
     std::int64_t barriers = 0;
-    if (!r.kv("barriers", &barriers) || barriers < 0) return false;
+    if (!r.kv("barriers", &barriers) || barriers < 0 ||
+        static_cast<std::uint64_t>(barriers) > r.remaining()) {
+      return false;
+    }
     j.barrier_mean_waits_s.resize(static_cast<std::size_t>(barriers));
     j.barrier_variances_s2.resize(static_cast<std::size_t>(barriers));
     for (double& v : j.barrier_mean_waits_s) {

@@ -1,22 +1,16 @@
 // Pending-event set for the discrete-event simulator.
 //
-// A two-tier calendar queue keyed on (time, sequence number). The sequence
-// number makes ordering of simultaneous events deterministic (FIFO by
-// scheduling order), which in turn makes whole experiments reproducible.
+// A binary min-heap keyed on (time, sequence number). The sequence number
+// makes ordering of simultaneous events deterministic (FIFO by scheduling
+// order), which in turn makes whole experiments reproducible.
 //
-// Structure: a flat window of fixed-count, adaptive-width time buckets
-// covers the near future; events beyond the window land in a binary-heap
-// overflow tier and migrate into buckets when the window re-anchors. Each
-// bucket is a sorted vector consumed through a head cursor, so the common
-// short-horizon schedule (a transmit completion a few microseconds out)
-// is an O(1) append and never touches the heap. The pop order is exactly
-// ascending (time, seq) — byte-identical to the binary heap this replaced.
-//
-// Cancellation is O(1): every event's liveness lives in a dense
-// seq-indexed state table (pending / fired / cancelled), so cancel() is a
-// table write and cancelled entries are skipped as tombstones when the
-// consuming cursor reaches them. The table's dead prefix is trimmed in
-// amortized O(1) as events retire.
+// The heap holds only slim (at, seq, slot) keys; each callback lives in a
+// slot table entry that also records the seq currently occupying it, and
+// freed slots are recycled through a free list. cancel() is O(1): it frees
+// the slot and drops the callback. A key whose slot no longer holds its
+// seq is a tombstone and is discarded when it reaches the top of the heap.
+// Sequence numbers are never reused, so a handle can never match a later
+// occupant of its slot.
 #pragma once
 
 #include <cstdint>
@@ -31,26 +25,27 @@ namespace tls::sim {
 /// Opaque handle identifying a scheduled event; used for cancellation.
 struct EventId {
   std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Calendar queue of timed callbacks with stable ordering and O(1)
+/// Binary heap of timed callbacks with stable ordering and O(1)
 /// cancellation.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
   /// Internal activity counters; bench_simcore and the obs wiring read
-  /// these to publish events/sec and tier behavior.
+  /// these to publish events/sec and cancellation behavior.
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t popped = 0;
-    /// Cancelled entries physically discarded by the consuming cursor.
+    /// Cancelled keys discarded on reaching the top of the heap.
     std::uint64_t tombstones_skipped = 0;
-    /// Entries migrated overflow-heap -> calendar window.
+    /// Always 0: the heap has no tiers to migrate between. Kept because
+    /// perfbench/stack.cpp still reads them.
     std::uint64_t overflow_pulls = 0;
-    /// Window re-anchors (calendar exhausted, refilled from overflow).
     std::uint64_t window_jumps = 0;
   };
 
@@ -88,83 +83,31 @@ class EventQueue {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Entry {
+  struct Key {
     Time at;
     std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  /// A live slot holds the seq of its event; 0 marks a free slot.
+  struct Slot {
+    std::uint64_t seq = 0;
     Callback cb;
   };
-  /// Strict total order: (at, seq). seq is unique, so no ties.
-  static bool entry_less(const Entry& a, const Entry& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+
+  /// Heap order for std::push_heap/pop_heap: the root is the smallest
+  /// (at, seq). seq is unique, so the order is strict and total.
+  static bool later(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
+  bool live(const Key& k) const { return slots_[k.slot].seq == k.seq; }
+  /// Pops tombstones until the root is live. Requires !empty().
+  void skip_tombstones();
+  /// Frees `slot` and returns its callback.
+  Callback release(std::uint32_t slot);
 
-  /// One calendar bucket: entries in [head, v.size()) pending, slots
-  /// before head consumed. Out-of-order arrivals only set `dirty`; the
-  /// pending range is sorted by (at, seq) lazily when the consuming
-  /// cursor first reaches the bucket, so a burst of non-monotone
-  /// schedules into one bucket costs one O(k log k) sort instead of k
-  /// O(k) sorted inserts.
-  struct Bucket {
-    std::vector<Entry> v;
-    std::size_t head = 0;
-    bool dirty = false;
-  };
-
-  // Per-event liveness states in state_.
-  enum : std::uint8_t { kPending = 0, kFired = 1, kCancelled = 2 };
-
-  static constexpr std::size_t kBuckets = 512;  // power of two
-  static constexpr std::size_t kBitmapWords = kBuckets / 64;
-  static constexpr Time kDefaultWidth{1 << 12};  // ~4us at ns resolution
-  static constexpr Time kMaxWidth{std::int64_t{1} << 42};
-  static constexpr std::size_t kWidthSample = 16;
-  static constexpr std::size_t kStateTrimMin = 4096;
-  /// Pending-range size at which a bucket is too dense for the current
-  /// width and the calendar re-anchors with a narrower geometry.
-  static constexpr std::size_t kDenseBucket = 64;
-
-  Time window_end() const;
-  void push_bucket(std::size_t idx, Entry&& e);
-  void insert_entry(Entry&& e);
-  Entry pop_overflow();
-  /// Re-anchors the window at the overflow minimum, adapts the bucket
-  /// width to the observed head spacing, and migrates in-window entries.
-  void refill_window();
-  /// Spills every calendar entry into the overflow heap and re-anchors
-  /// with a freshly estimated width. Called when one bucket turns dense
-  /// relative to the current geometry; without it, a stream of
-  /// out-of-order inserts into the cursor bucket would re-sort an
-  /// ever-growing range on every pop.
-  void rebucket();
-  /// Positions (cur_, head) on the earliest physical entry, refilling from
-  /// overflow as needed. Requires a physical entry to exist.
-  Entry* peek_physical();
-  /// Consumes the entry peek_physical() returned.
-  void drop_front();
-  /// Positions on the earliest *live* entry, discarding tombstones.
-  Entry* next_live();
-  std::uint8_t& state_of(std::uint64_t seq);
-  void maybe_trim_state();
-
-  // --- liveness table: state_[seq - state_base_], dense and trimmed ---
-  std::vector<std::uint8_t> state_;
-  std::uint64_t state_base_ = 1;
-  std::size_t state_scan_ = 0;  // dead-prefix scan cursor
-
-  // --- calendar window ---
-  std::vector<Bucket> buckets_{kBuckets};
-  std::uint64_t occupied_[kBitmapWords] = {};
-  Time window_start_{};
-  Time width_ = kDefaultWidth;
-  /// One-shot upper bound on the next refill's width estimate, armed by
-  /// rebucket() to guarantee the geometry narrows. kMaxWidth = unarmed.
-  Time width_cap_ = kMaxWidth;
-  std::size_t cur_ = 0;        // lowest possibly-occupied bucket
-  std::size_t cal_count_ = 0;  // physical entries in buckets
-
-  // --- overflow tier: min-heap on (at, seq) ---
-  std::vector<Entry> overflow_;
-
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   Stats stats_;

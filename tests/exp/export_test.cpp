@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_dir.hpp"
+
 namespace tls::exp {
 namespace {
 
@@ -67,7 +69,8 @@ TEST(Export, JsonEscapesStrings) {
 }
 
 TEST(Export, WriteFileRoundTrips) {
-  std::string path = ::testing::TempDir() + "/tls_export_test.csv";
+  std::string path =
+      (tls::testutil::temp_dir() / "tls_export_test.csv").string();
   std::string error;
   ASSERT_TRUE(write_file(path, "a,b\n1,2\n", &error)) << error;
   std::ifstream in(path);

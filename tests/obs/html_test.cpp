@@ -18,6 +18,7 @@
 #include "obs/report_cli.hpp"
 #include "obs/streaming.hpp"
 #include "obs/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace tls::obs {
 namespace {
@@ -184,7 +185,7 @@ std::string cli_trace_csv() {
 }
 
 TEST(ReportCliHtml, WritesDashboardAndStreamMatchesBatch) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_cli_html";
+  fs::path dir = tls::testutil::temp_dir() / "tls_cli_html";
   fs::remove_all(dir);
   fs::create_directories(dir);
   fs::path trace = dir / "trace.csv";
@@ -211,7 +212,7 @@ TEST(ReportCliHtml, WritesDashboardAndStreamMatchesBatch) {
 }
 
 TEST(ReportCliFollow, RendersGrowingTraceViaHook) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_cli_follow";
+  fs::path dir = tls::testutil::temp_dir() / "tls_cli_follow";
   fs::remove_all(dir);
   fs::create_directories(dir);
   fs::path trace = dir / "trace.csv";
@@ -282,7 +283,7 @@ TEST(ReportCliFollow, CarriesHealthTrailerIntoBannerAndJson) {
   ASSERT_NE(csv.find("#health,dropped,total,1"), std::string::npos) << csv;
   ASSERT_NE(csv.find("#health,sampled,qdisc,2"), std::string::npos) << csv;
 
-  fs::path dir = fs::path(testing::TempDir()) / "tls_cli_follow_health";
+  fs::path dir = tls::testutil::temp_dir() / "tls_cli_follow_health";
   fs::remove_all(dir);
   fs::create_directories(dir);
   fs::path trace = dir / "trace.csv";

@@ -16,6 +16,7 @@
 #include "exp/experiment.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
+#include "temp_dir.hpp"
 
 namespace tls {
 namespace {
@@ -62,7 +63,7 @@ exp::ExperimentConfig with_artifacts(exp::ExperimentConfig c,
 }
 
 TEST(ObsGolden, TwoHostTwoJobTraceMatchesGolden) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_obs_golden_run";
+  fs::path dir = tls::testutil::temp_dir() / "tls_obs_golden_run";
   fs::remove_all(dir);
   exp::ExperimentConfig c = with_artifacts(small_scenario(), dir);
   exp::ExperimentResult result = exp::run_experiment(c);
@@ -89,8 +90,8 @@ TEST(ObsGolden, TwoHostTwoJobTraceMatchesGolden) {
 /// the default pfifo qdisc (the kFifo policy installs nothing), so the
 /// trace exercises the exact hot path the simulator core optimizes —
 /// FIFO chunk interleaving at a shared egress NIC. Golden generated by the
-/// pre-calendar-queue binary-heap build; byte-equality here certifies the
-/// calendar queue replays the identical event order.
+/// seed binary-heap build; byte-equality here certifies every later event
+/// queue replays the identical event order.
 exp::ExperimentConfig fig2_small_scenario() {
   exp::ExperimentConfig c;
   c.num_hosts = 5;
@@ -110,7 +111,7 @@ exp::ExperimentConfig fig2_small_scenario() {
 }
 
 TEST(ObsGolden, Fig2SmallFifoTraceMatchesGolden) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_obs_golden_fig2s";
+  fs::path dir = tls::testutil::temp_dir() / "tls_obs_golden_fig2s";
   fs::remove_all(dir);
   exp::ExperimentConfig c = with_artifacts(fig2_small_scenario(), dir);
   exp::ExperimentResult result = exp::run_experiment(c);
@@ -134,7 +135,7 @@ TEST(ObsGolden, Fig2SmallFifoTraceMatchesGolden) {
 }
 
 TEST(ObsGolden, TraceLooksLikeWellFormedChromeJson) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_obs_wellformed";
+  fs::path dir = tls::testutil::temp_dir() / "tls_obs_wellformed";
   fs::remove_all(dir);
   exp::ExperimentConfig c = with_artifacts(small_scenario(), dir);
   exp::run_experiment(c);
@@ -159,8 +160,8 @@ TEST(ObsGolden, TraceLooksLikeWellFormedChromeJson) {
 }
 
 TEST(ObsDeterminism, RepeatedSeededRunsWriteIdenticalArtifacts) {
-  fs::path a = fs::path(testing::TempDir()) / "tls_obs_det_a";
-  fs::path b = fs::path(testing::TempDir()) / "tls_obs_det_b";
+  fs::path a = tls::testutil::temp_dir() / "tls_obs_det_a";
+  fs::path b = tls::testutil::temp_dir() / "tls_obs_det_b";
   fs::remove_all(a);
   fs::remove_all(b);
   exp::run_experiment(with_artifacts(small_scenario(), a));
@@ -176,8 +177,8 @@ TEST(ObsDeterminism, SerialAndParallelRunSetsWriteIdenticalArtifacts) {
   // The same 3-policy comparison executed with one worker and with eight
   // must produce byte-identical per-run artifact files: each simulation is
   // single-threaded and owns its label-derived paths.
-  fs::path serial_dir = fs::path(testing::TempDir()) / "tls_obs_serial";
-  fs::path parallel_dir = fs::path(testing::TempDir()) / "tls_obs_parallel";
+  fs::path serial_dir = tls::testutil::temp_dir() / "tls_obs_serial";
+  fs::path parallel_dir = tls::testutil::temp_dir() / "tls_obs_parallel";
   fs::remove_all(serial_dir);
   fs::remove_all(parallel_dir);
 
@@ -210,7 +211,7 @@ TEST(ObsDeterminism, ArtifactsDoNotPerturbResults) {
   // observability reads simulation state, never steers it. sim_events may
   // differ (the gauge sampler adds timer events), so compare exports.
   exp::ExperimentConfig plain = small_scenario();
-  fs::path dir = fs::path(testing::TempDir()) / "tls_obs_perturb";
+  fs::path dir = tls::testutil::temp_dir() / "tls_obs_perturb";
   fs::remove_all(dir);
   exp::ExperimentConfig traced = with_artifacts(plain, dir);
   exp::ExperimentResult a = exp::run_experiment(plain);

@@ -14,6 +14,7 @@
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace tls::obs {
 namespace {
@@ -21,7 +22,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_file(const char* name) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_reader_test";
+  fs::path dir = tls::testutil::temp_dir() / "tls_reader_test";
   fs::create_directories(dir);
   return dir / name;
 }

@@ -24,6 +24,7 @@
 #include "obs/report_cli.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
+#include "temp_dir.hpp"
 
 namespace tls {
 namespace {
@@ -73,7 +74,7 @@ obs::RunReport run_and_analyze(exp::ExperimentConfig config,
 }
 
 TEST(ReportGolden, ContendedFifoReportMatchesGolden) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_golden";
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_golden";
   fs::remove_all(dir);
   fs::create_directories(dir);
   exp::ExperimentConfig c = contended_scenario(core::PolicyKind::kFifo);
@@ -99,7 +100,7 @@ TEST(ReportGolden, ContendedFifoReportMatchesGolden) {
 }
 
 TEST(ReportConservation, SegmentsSumExactlyToBarrierWait) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_conserve";
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_conserve";
   fs::remove_all(dir);
   obs::RunReport report =
       run_and_analyze(contended_scenario(core::PolicyKind::kFifo), dir);
@@ -196,7 +197,7 @@ TEST(ReportConservation, BlameBytesBracketedByIndependentRecount) {
   // host by *time* window. Events strictly inside (begin, end) are in the
   // log window too (the log is appended in nondecreasing-time dispatch
   // order), so strict-interior <= reported <= closed-interval.
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_recount";
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_recount";
   fs::remove_all(dir);
   exp::ExperimentConfig c = contended_scenario(core::PolicyKind::kFifo);
   fs::create_directories(dir);
@@ -249,7 +250,7 @@ TEST(ReportConservation, IngressBlameBytesBracketedByIndependentRecount) {
   // segment on a critical path, recount the foreign deliver bytes at the
   // receiving host by *time* window (true arrival recovered from the
   // deliver's residence payload). Strict-interior <= reported <= closed.
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_irecount";
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_irecount";
   fs::remove_all(dir);
   exp::ExperimentConfig c = contended_scenario(core::PolicyKind::kFifo);
   fs::create_directories(dir);
@@ -297,7 +298,7 @@ TEST(ReportConservation, IngressBlameBytesBracketedByIndependentRecount) {
 }
 
 TEST(ReportBlame, SingleJobRunHasNoCrossJobBlame) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_onejob";
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_onejob";
   fs::remove_all(dir);
   exp::ExperimentConfig c = contended_scenario(core::PolicyKind::kFifo);
   c.workload.num_jobs = 1;
@@ -316,8 +317,8 @@ TEST(ReportDiff, TlsOneEliminatesPrioritizedJobsCrossJobBlame) {
   // The machine-checked headline: under FIFO the prioritized job queues
   // behind the other job's traffic; under TLs-One (job 0 in the green
   // band) that cross-job blame drops to exactly zero.
-  fs::path fifo_dir = fs::path(testing::TempDir()) / "tls_report_diff_fifo";
-  fs::path one_dir = fs::path(testing::TempDir()) / "tls_report_diff_one";
+  fs::path fifo_dir = tls::testutil::temp_dir() / "tls_report_diff_fifo";
+  fs::path one_dir = tls::testutil::temp_dir() / "tls_report_diff_one";
   fs::remove_all(fifo_dir);
   fs::remove_all(one_dir);
   obs::RunReport fifo =
@@ -357,8 +358,8 @@ TEST(ReportDiff, TlsOneEliminatesPrioritizedJobsCrossJobBlame) {
 }
 
 TEST(ReportDeterminism, RepeatedSeededRunsWriteIdenticalReports) {
-  fs::path a = fs::path(testing::TempDir()) / "tls_report_det_a";
-  fs::path b = fs::path(testing::TempDir()) / "tls_report_det_b";
+  fs::path a = tls::testutil::temp_dir() / "tls_report_det_a";
+  fs::path b = tls::testutil::temp_dir() / "tls_report_det_b";
   fs::remove_all(a);
   fs::remove_all(b);
   run_and_analyze(contended_scenario(core::PolicyKind::kTlsOne), a);
@@ -374,8 +375,8 @@ TEST(ReportDeterminism, SerialAndParallelRunSetsWriteIdenticalReports) {
   // The 3-policy comparison with report artifacts, executed with one
   // worker and with eight: per-run label-derived report files must be
   // byte-identical.
-  fs::path serial_dir = fs::path(testing::TempDir()) / "tls_report_serial";
-  fs::path parallel_dir = fs::path(testing::TempDir()) / "tls_report_par";
+  fs::path serial_dir = tls::testutil::temp_dir() / "tls_report_serial";
+  fs::path parallel_dir = tls::testutil::temp_dir() / "tls_report_par";
   fs::remove_all(serial_dir);
   fs::remove_all(parallel_dir);
 
@@ -407,7 +408,7 @@ TEST(ReportDeterminism, SerialAndParallelRunSetsWriteIdenticalReports) {
 }
 
 TEST(ReportArtifacts, JsonIsWellFormedAndIntegerOnly) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_json";
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_json";
   fs::remove_all(dir);
   run_and_analyze(contended_scenario(core::PolicyKind::kFifo), dir);
   std::string json = read_file(dir / "report.json");
@@ -448,7 +449,7 @@ const std::string& shared_trace_csv(core::PolicyKind policy,
   static std::map<std::string, std::string> cache;
   auto it = cache.find(name);
   if (it != cache.end()) return it->second;
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_cli" / name;
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_cli" / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   exp::ExperimentConfig c = contended_scenario(policy);
@@ -459,7 +460,7 @@ const std::string& shared_trace_csv(core::PolicyKind policy,
 
 TEST(ReportCli, SingleTraceReportMatchesInProcessAnalysis) {
   const std::string& trace = shared_trace_csv(core::PolicyKind::kFifo, "fifo");
-  fs::path dir = fs::path(testing::TempDir()) / "tls_report_cli_out";
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_cli_out";
   fs::create_directories(dir);
   std::string csv_path = (dir / "out.csv").string();
   std::string json_path = (dir / "out.json").string();

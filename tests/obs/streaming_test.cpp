@@ -21,6 +21,7 @@
 #include "obs/analysis.hpp"
 #include "obs/reader.hpp"
 #include "obs/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace tls::obs {
 namespace {
@@ -238,7 +239,7 @@ TEST(Streaming, CarriesHealthIntoReport) {
 // pinned, batch and streaming byte-identical on it.
 
 TEST(StreamingGolden, ContendedRunJsonIdenticalBatchVsStreaming) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_streaming_golden";
+  fs::path dir = tls::testutil::temp_dir() / "tls_streaming_golden";
   fs::remove_all(dir);
   fs::create_directories(dir);
 

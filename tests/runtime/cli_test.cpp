@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_dir.hpp"
+
 namespace tls::runtime {
 namespace {
 
@@ -125,7 +127,8 @@ TEST(Cli, BackgroundFlagAccepted) {
 }
 
 TEST(Cli, ExportPrefixWritesArtifacts) {
-  std::string prefix = ::testing::TempDir() + "/tlsim_cli_export";
+  std::string prefix =
+      (tls::testutil::temp_dir() / "tlsim_cli_export").string();
   CliRun r = cli({"run", SMALL, "--policy", "fifo", "--export-prefix", prefix});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("exported"), std::string::npos);
@@ -159,7 +162,8 @@ TEST(Cli, TraceFilterUnknownCategoryRejected) {
 }
 
 TEST(Cli, ReportFlagsWriteAttributionArtifacts) {
-  std::string prefix = ::testing::TempDir() + "/tlsim_cli_report";
+  std::string prefix =
+      (tls::testutil::temp_dir() / "tlsim_cli_report").string();
   CliRun r = cli({"run", SMALL, "--policy", "fifo",
                   "--report", prefix + ".txt",
                   "--report-csv", prefix + ".csv",
@@ -183,7 +187,8 @@ TEST(Cli, ReportFlagsWriteAttributionArtifacts) {
 TEST(Cli, ReportWorksWithNarrowTraceFilter) {
   // --report forces the analysis categories even when --trace-filter would
   // exclude them; the report must not silently degrade to all-`other`.
-  std::string path = ::testing::TempDir() + "/tlsim_cli_report_narrow.txt";
+  std::string path =
+      (tls::testutil::temp_dir() / "tlsim_cli_report_narrow.txt").string();
   CliRun r = cli({"run", SMALL, "--policy", "fifo", "--trace-filter", "none",
                   "--report", path});
   EXPECT_EQ(r.code, 0) << r.err;
@@ -272,7 +277,8 @@ TEST(Cli, ScenarioBadNumberRejected) {
 }
 
 TEST(Cli, ScenarioWritesResultAndTraceArtifacts) {
-  std::string prefix = ::testing::TempDir() + "/tlsim_cli_scenario";
+  std::string prefix =
+      (tls::testutil::temp_dir() / "tlsim_cli_scenario").string();
   CliRun r = cli({SMALL_SCENARIO, "--policy", "tls-one",
                   "--scenario-out", prefix + ".json",
                   "--scenario-csv", prefix + ".csv",
@@ -298,7 +304,8 @@ TEST(Cli, ScenarioWritesResultAndTraceArtifacts) {
 TEST(Cli, ScenarioTraceReplayRoundTrips) {
   // Export the generated trace, replay it, and check the replayed run
   // reports the same jobs.
-  std::string path = ::testing::TempDir() + "/tlsim_cli_scenario_replay.csv";
+  std::string path =
+      (tls::testutil::temp_dir() / "tlsim_cli_scenario_replay.csv").string();
   CliRun gen = cli({SMALL_SCENARIO, "--policy", "fifo", "--csv",
                     "--scenario-trace-out", path});
   ASSERT_EQ(gen.code, 0) << gen.err;

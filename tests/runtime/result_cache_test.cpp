@@ -8,9 +8,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "exp/experiment.hpp"
 #include "exp/export.hpp"
+#include "temp_dir.hpp"
 
 namespace tls::runtime {
 namespace {
@@ -37,7 +40,7 @@ std::string full_export(const exp::ExperimentResult& r) {
 
 /// Fresh per-test cache directory.
 fs::path temp_cache_dir(const char* name) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_cache_test" / name;
+  fs::path dir = tls::testutil::temp_dir() / "tls_cache_test" / name;
   fs::remove_all(dir);
   return dir;
 }
@@ -135,6 +138,26 @@ TEST(ResultCache, CorruptFileDegradesToMiss) {
   ASSERT_TRUE(fs::exists(file));
   std::ofstream(file, std::ios::trunc) << "garbage";
   EXPECT_FALSE(cache.load(config).has_value());
+
+  // A count or length prefix far beyond the entry's size must read as a
+  // miss, not size a buffer from it (std::length_error / bad_alloc).
+  for (const char* key : {"jobs", "barriers", "salt"}) {
+    ASSERT_TRUE(cache.store(config, exp::run_experiment(config)));
+    std::string text;
+    {
+      std::ifstream in(file, std::ios::binary);
+      text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::string field = "\n" + std::string(key) + " ";
+    std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << key;
+    at += field.size();
+    std::size_t digits = text.find_first_not_of("0123456789", at) - at;
+    ASSERT_GT(digits, 0u) << key;
+    text.replace(at, digits, "999999999999999999");
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << text;
+    EXPECT_FALSE(cache.load(config).has_value()) << key;
+  }
 }
 
 TEST(ResultCache, StoreFailureReturnsFalseNotThrow) {

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "exp/export.hpp"
+#include "temp_dir.hpp"
 
 namespace tls::runtime {
 namespace {
@@ -85,7 +86,7 @@ TEST(Runner, ParallelExportIsByteIdenticalToSerial) {
 }
 
 TEST(Runner, SecondRunIsAllCacheHitsAndIdentical) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_runner_cache";
+  fs::path dir = tls::testutil::temp_dir() / "tls_runner_cache";
   fs::remove_all(dir);
   RunPlan plan = seeded_sweep();
 

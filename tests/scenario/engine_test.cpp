@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "scenario/export.hpp"
+#include "temp_dir.hpp"
 
 namespace tls::scenario {
 namespace {
@@ -207,7 +208,7 @@ TEST(ScenarioEngine, JsonDeclaresSchemaAndPolicy) {
 }
 
 TEST(ScenarioEngine, WritesMetricsTimeseriesWhenAsked) {
-  fs::path dir = fs::path(testing::TempDir()) / "tls_scenario_metrics";
+  fs::path dir = tls::testutil::temp_dir() / "tls_scenario_metrics";
   fs::create_directories(dir);
   Config c = small_config();
   c.sample_period = 1 * sim::kSecond;

@@ -158,6 +158,37 @@ TEST(EventQueue, DoubleCancelAcrossClearStaysFalse) {
   EXPECT_FALSE(q.cancel(id));
 }
 
+TEST(EventQueue, StaleHandleNeverTouchesSlotReuser) {
+  // A freed callback slot is recycled by the next schedule(); the handle of
+  // its previous occupant must stay dead, whether that occupant was
+  // cancelled or fired.
+  for (bool cancel_a : {true, false}) {
+    EventQueue q;
+    EventId keep = q.schedule(tls::sim::Time{100}, [] {});
+    EventId a = q.schedule(tls::sim::Time{10}, [] {});
+    if (cancel_a) {
+      EXPECT_TRUE(q.cancel(a));
+    } else {
+      EXPECT_EQ(q.pop().first, tls::sim::Time{10});
+    }
+    bool b_fired = false;
+    EventId b = q.schedule(tls::sim::Time{20}, [&] { b_fired = true; });
+    EXPECT_EQ(b.slot, a.slot) << "schedule() should recycle the freed slot";
+    EXPECT_NE(b.seq, a.seq);
+    EXPECT_FALSE(q.cancel(a));
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.peek_time(), tls::sim::Time{20});
+    auto [t, cb] = q.pop();
+    cb();
+    EXPECT_EQ(t, tls::sim::Time{20});
+    EXPECT_TRUE(b_fired);
+    EXPECT_FALSE(q.cancel(b));
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_TRUE(q.cancel(keep));
+    EXPECT_TRUE(q.empty());
+  }
+}
+
 TEST(EventQueue, StatsCountActivity) {
   EventQueue q;
   EventId a = q.schedule(tls::sim::Time{1}, [] {});

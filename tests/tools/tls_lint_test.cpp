@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_dir.hpp"
+
 namespace tls::lint {
 namespace {
 
@@ -274,7 +276,7 @@ TEST(TlsLint, AllowlistSilencesByPathAndRule) {
 // watch the violation get caught — then allowlist it and watch it pass.
 TEST(TlsLint, TreeScanCatchesSeededViolation) {
   namespace fs = std::filesystem;
-  fs::path root = fs::path(testing::TempDir()) / "tls_lint_seeded";
+  fs::path root = tls::testutil::temp_dir() / "tls_lint_seeded";
   fs::remove_all(root);
   fs::create_directories(root / "net");
   {
@@ -311,7 +313,7 @@ TEST(TlsLint, TreeScanCatchesSeededViolation) {
 // The deterministic output contract of the lint itself: findings are sorted.
 TEST(TlsLint, FindingsAreSorted) {
   namespace fs = std::filesystem;
-  fs::path root = fs::path(testing::TempDir()) / "tls_lint_sorted";
+  fs::path root = tls::testutil::temp_dir() / "tls_lint_sorted";
   fs::remove_all(root);
   fs::create_directories(root / "net");
   {
@@ -552,7 +554,7 @@ TEST(TlsLintLayers, ExternalQuotedIncludesAreIgnored) {
 
 TEST(TlsLintLayers, TreeScanChecksRealFiles) {
   namespace fs = std::filesystem;
-  fs::path root = fs::path(testing::TempDir()) / "tls_lint_layers";
+  fs::path root = tls::testutil::temp_dir() / "tls_lint_layers";
   fs::remove_all(root);
   fs::create_directories(root / "simcore");
   fs::create_directories(root / "runtime");

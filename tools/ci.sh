@@ -189,5 +189,9 @@ echo "==> [4/4] ci preset: RelWithDebInfo + TLS_WERROR=ON, tier-1 ctest"
 cmake --preset ci
 cmake --build --preset ci -j "$jobs"
 ctest --preset ci -j "$jobs"
+# The report tests share a trace between cases and write artifacts under
+# per-process temp dirs; repeat them in parallel so a reintroduced
+# shared-path race fails here instead of flaking once in a dozen runs.
+ctest --preset ci -R '^Report' -j "$jobs" --repeat until-fail:20
 
 echo "==> ci.sh: all green"
