@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "cluster/launcher.hpp"
-#include "exp/export.hpp"
 #include "metrics/util_sampler.hpp"
 #include "obs/analysis.hpp"
 #include "obs/export.hpp"
@@ -260,18 +259,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     if (obs_sampler) obs_sampler->stop();
     std::string err;
     if (!config.obs.trace_path.empty() &&
-        !write_file(config.obs.trace_path, obs::chrome_trace_json(*tracer),
-                    &err)) {
+        !obs::write_file(config.obs.trace_path,
+                         obs::chrome_trace_json(*tracer), &err)) {
       throw std::runtime_error("trace export failed: " + err);
     }
     if (!config.obs.trace_csv_path.empty() &&
-        !write_file(config.obs.trace_csv_path, obs::trace_csv(*tracer),
-                    &err)) {
+        !obs::write_file(config.obs.trace_csv_path, obs::trace_csv(*tracer),
+                         &err)) {
       throw std::runtime_error("trace CSV export failed: " + err);
     }
     if (registry && !config.obs.metrics_path.empty() &&
-        !write_file(config.obs.metrics_path,
-                    registry->timeseries_csv(simulator.now()), &err)) {
+        !obs::write_file(config.obs.metrics_path,
+                         registry->timeseries_csv(simulator.now()), &err)) {
       throw std::runtime_error("metrics export failed: " + err);
     }
     if (config.obs.report_any()) {
@@ -283,28 +282,28 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       analyzer.set_health(tracer->health());
       obs::RunReport report = analyzer.finish();
       if (!config.obs.report_path.empty() &&
-          !write_file(config.obs.report_path, obs::report_text(report),
-                      &err)) {
+          !obs::write_file(config.obs.report_path, obs::report_text(report),
+                           &err)) {
         throw std::runtime_error("report export failed: " + err);
       }
       if (!config.obs.report_csv_path.empty() &&
-          !write_file(config.obs.report_csv_path, obs::report_csv(report),
-                      &err)) {
+          !obs::write_file(config.obs.report_csv_path,
+                           obs::report_csv(report), &err)) {
         throw std::runtime_error("report CSV export failed: " + err);
       }
       if (!config.obs.report_json_path.empty() &&
-          !write_file(config.obs.report_json_path, obs::report_json(report),
-                      &err)) {
+          !obs::write_file(config.obs.report_json_path,
+                           obs::report_json(report), &err)) {
         throw std::runtime_error("report JSON export failed: " + err);
       }
       if (!config.obs.report_html_path.empty()) {
         obs::HtmlOptions html_opts;
         html_opts.title = "tlsreport: " + result.policy_name;
         html_opts.label_a = result.policy_name;
-        if (!write_file(config.obs.report_html_path,
-                        obs::report_html(obs::report_json(report), "",
-                                         html_opts),
-                        &err)) {
+        if (!obs::write_file(config.obs.report_html_path,
+                             obs::report_html(obs::report_json(report), "",
+                                              html_opts),
+                             &err)) {
           throw std::runtime_error("report HTML export failed: " + err);
         }
       }

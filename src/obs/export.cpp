@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -283,6 +284,22 @@ std::string trace_csv(const Tracer& tracer) {
     emit("sampled", h.sampled_out_total, h.sampled_out_by_cat);
   }
   return os.str();
+}
+
+bool write_file(const std::string& path, const std::string& content,
+                std::string* error) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    *error = "cannot open '" + path + "' for writing";
+    return false;
+  }
+  out << content;
+  out.flush();
+  if (!out) {
+    *error = "write to '" + path + "' failed";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace tls::obs

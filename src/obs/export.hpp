@@ -13,6 +13,8 @@
 //
 //  * trace_csv(): the same events in compact long form, one row per event,
 //    for ad-hoc grep/pandas work without a JSON parser.
+//
+// write_file() is the one checked file writer every artifact goes through.
 #pragma once
 
 #include <string>
@@ -29,5 +31,10 @@ std::string chrome_trace_json(const Tracer& tracer);
 
 /// Renders events as CSV: at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns.
 std::string trace_csv(const Tracer& tracer);
+
+/// Writes `content` to `path`, replacing it; false and a message when the
+/// file cannot be opened or the write fails (e.g. a full disk).
+bool write_file(const std::string& path, const std::string& content,
+                std::string* error);
 
 }  // namespace tls::obs

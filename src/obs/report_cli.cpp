@@ -1,47 +1,56 @@
 #include "obs/report_cli.hpp"
 
-#include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "obs/analysis.hpp"
+#include "obs/export.hpp"
 #include "obs/html.hpp"
 #include "obs/reader.hpp"
 #include "obs/streaming.hpp"
+#include "simcore/flags.hpp"
 
 namespace tls::obs {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: tlsreport <trace.csv> [--csv PATH] [--json PATH] [--html PATH]\n"
-    "                 [--stream] [--quiet]\n"
-    "       tlsreport --follow <trace.csv> --html PATH [--poll-ms N]\n"
-    "                 [--max-polls N] [--idle-polls N] [--json PATH] "
-    "[--quiet]\n"
-    "       tlsreport --diff <a.csv> <b.csv> [--label-a NAME] "
-    "[--label-b NAME]\n"
-    "                 [--csv PATH] [--json PATH] [--html PATH] [--quiet]\n"
-    "\n"
-    "Post-hoc straggler attribution from a tlsim trace CSV (--trace-csv):\n"
-    "per-iteration critical-path decomposition and contention blame, or an\n"
-    "aligned two-run policy diff. Text goes to stdout; --csv/--json write\n"
-    "the machine-readable forms and --html a self-contained dashboard.\n"
-    "--stream analyzes in bounded memory; --follow tails a growing trace,\n"
-    "re-rendering the dashboard as iterations finalize (stops after\n"
-    "--max-polls polls or --idle-polls polls without growth; 0 = no "
-    "limit).\n";
+constexpr sim::FlagSpec kFlags[] = {
+    {"diff", nullptr, "compare two traces, A then B"},
+    {"follow", nullptr, "tail a growing trace, re-rendering --html"},
+    {"stream", nullptr, "analyze in bounded memory"},
+    {"quiet", nullptr, "no text report on stdout"},
+    {"csv", "PATH", "report (or diff) as tidy long CSV"},
+    {"json", "PATH", "report (or diff) as JSON"},
+    {"html", "PATH", "self-contained HTML dashboard"},
+    {"label-a", "NAME", "--diff name of A (default: file basename)"},
+    {"label-b", "NAME", "--diff name of B (default: file basename)"},
+    {"poll-ms", "N", "--follow poll interval (500)"},
+    {"max-polls", "N", "--follow stops after N polls (0 = no limit)"},
+    {"idle-polls", "N",
+     "--follow stops after N polls without growth\n(0 = no limit)"},
+    {"help", nullptr, "this text (also -h)"},
+};
 
-bool write_file(const std::string& path, const std::string& content,
-                std::ostream& err) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    err << "tlsreport: cannot write " << path << "\n";
-    return false;
-  }
-  out << content;
-  return true;
+std::string usage() {
+  return "usage: tlsreport <trace.csv> [flags]             one run\n"
+         "       tlsreport --diff <a.csv> <b.csv> [flags]  A/B policy diff\n"
+         "       tlsreport --follow <trace.csv> --html PATH [flags]\n\n"
+         "Post-hoc straggler attribution from a tlsim --trace-csv file:\n"
+         "per-iteration critical-path decomposition and contention blame.\n"
+         "Text goes to stdout. Flags are --name VALUE or --name=VALUE.\n\n"
+         "flags:\n" +
+         sim::flag_help(kFlags);
+}
+
+/// Writes an artifact unless its path is empty (not requested); false
+/// after reporting a failed write on `err`.
+bool save(const std::string& path, const std::string& content,
+          std::ostream& err) {
+  std::string error;
+  if (path.empty() || write_file(path, content, &error)) return true;
+  err << "tlsreport: " << error << "\n";
+  return false;
 }
 
 /// Derives a short run label from a path: basename without extension.
@@ -53,41 +62,27 @@ std::string label_from_path(const std::string& path) {
   return dot == std::string::npos ? base : base.substr(0, dot);
 }
 
-bool parse_int(const std::string& text, long* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtol(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-struct CliConfig {
-  bool diff_mode = false;
-  bool follow = false;
-  bool stream = false;
-  bool quiet = false;
-  std::string csv_path;
-  std::string json_path;
-  std::string html_path;
-  std::string label_a;
-  std::string label_b;
-  long poll_ms = 500;
-  long max_polls = 0;   // 0 = unlimited
-  long idle_polls = 0;  // 0 = never stop on idle
-  std::vector<std::string> inputs;
+/// When --follow stops polling; 0 = no limit.
+struct Polls {
+  long interval_ms = 500;
+  long max = 0;
+  long idle = 0;
 };
 
-/// Tails `path` with a StreamingAnalyzer, re-rendering the dashboard
+/// Tails the trace with a StreamingAnalyzer, re-rendering the dashboard
 /// whenever a poll delivered new events. Returns the exit code.
-int run_follow(const CliConfig& cfg, const ReportCliHooks& hooks,
-               std::ostream& out, std::ostream& err) {
-  const std::string& path = cfg.inputs[0];
+int run_follow(const sim::Flags& flags, const Polls& limits,
+               const ReportCliHooks& hooks, std::ostream& out,
+               std::ostream& err) {
+  const std::string& path = flags.positional[0];
+  const std::string html_path = flags.get("html");
   StreamingAnalyzer analyzer;
   TraceCsvTail tail(path);
   HtmlOptions html_opts;
   html_opts.title = "tlsreport: " + label_from_path(path);
   html_opts.label_a = label_from_path(path);
-  html_opts.refresh_seconds =
-      static_cast<int>(cfg.poll_ms >= 1000 ? cfg.poll_ms / 1000 : 1);
+  html_opts.refresh_seconds = static_cast<int>(
+      limits.interval_ms >= 1000 ? limits.interval_ms / 1000 : 1);
 
   long polls = 0;
   long idle = 0;
@@ -111,36 +106,28 @@ int run_follow(const CliConfig& cfg, const ReportCliHooks& hooks,
       idle = 0;
       analyzer.set_health(tail.health());
       RunReport snap = analyzer.snapshot();
-      if (!write_file(cfg.html_path, report_html(report_json(snap), "",
-                                                 html_opts),
-                      err)) {
+      if (!save(html_path, report_html(report_json(snap), "", html_opts),
+                err)) {
         return 2;
       }
     } else {
       ++idle;
     }
-    if (cfg.max_polls > 0 && polls >= cfg.max_polls) break;
-    if (cfg.idle_polls > 0 && idle >= cfg.idle_polls) break;
-    if (hooks.sleep_ms) {
-      hooks.sleep_ms(static_cast<int>(cfg.poll_ms));
-    }
+    if (limits.max > 0 && polls >= limits.max) break;
+    if (limits.idle > 0 && idle >= limits.idle) break;
+    if (hooks.sleep_ms) hooks.sleep_ms(static_cast<int>(limits.interval_ms));
   }
 
   analyzer.set_health(tail.health());
   RunReport final_report = analyzer.finish();
   HtmlOptions final_opts = html_opts;
   final_opts.refresh_seconds = 0;  // the run is over; stop reloading
-  if (!write_file(cfg.html_path,
-                  report_html(report_json(final_report), "", final_opts),
-                  err)) {
+  if (!save(html_path, report_html(report_json(final_report), "", final_opts),
+            err)) {
     return 2;
   }
-  if (!cfg.quiet) out << report_text(final_report);
-  if (!cfg.json_path.empty() &&
-      !write_file(cfg.json_path, report_json(final_report), err)) {
-    return 2;
-  }
-  return 0;
+  if (!flags.has("quiet")) out << report_text(final_report);
+  return save(flags.get("json"), report_json(final_report), err) ? 0 : 2;
 }
 
 }  // namespace
@@ -152,102 +139,63 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
 
 int run_report_cli(int argc, const char* const* argv, std::ostream& out,
                    std::ostream& err, const ReportCliHooks& hooks) {
-  CliConfig cfg;
-
-  auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      err << "tlsreport: " << flag << " requires a value\n" << kUsage;
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  auto need_int = [&](int& i, const char* flag, long* slot) -> bool {
-    const char* v = need_value(i, flag);
-    if (v == nullptr) return false;
-    if (!parse_int(v, slot) || *slot < 0) {
-      err << "tlsreport: " << flag << " expects a non-negative integer, got '"
-          << v << "'\n"
-          << kUsage;
-      return false;
-    }
-    return true;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--diff") {
-      cfg.diff_mode = true;
-    } else if (arg == "--follow") {
-      cfg.follow = true;
-    } else if (arg == "--stream") {
-      cfg.stream = true;
-    } else if (arg == "--quiet") {
-      cfg.quiet = true;
-    } else if (arg == "--csv") {
-      const char* v = need_value(i, "--csv");
-      if (v == nullptr) return 2;
-      cfg.csv_path = v;
-    } else if (arg == "--json") {
-      const char* v = need_value(i, "--json");
-      if (v == nullptr) return 2;
-      cfg.json_path = v;
-    } else if (arg == "--html") {
-      const char* v = need_value(i, "--html");
-      if (v == nullptr) return 2;
-      cfg.html_path = v;
-    } else if (arg == "--label-a") {
-      const char* v = need_value(i, "--label-a");
-      if (v == nullptr) return 2;
-      cfg.label_a = v;
-    } else if (arg == "--label-b") {
-      const char* v = need_value(i, "--label-b");
-      if (v == nullptr) return 2;
-      cfg.label_b = v;
-    } else if (arg == "--poll-ms") {
-      if (!need_int(i, "--poll-ms", &cfg.poll_ms)) return 2;
-    } else if (arg == "--max-polls") {
-      if (!need_int(i, "--max-polls", &cfg.max_polls)) return 2;
-    } else if (arg == "--idle-polls") {
-      if (!need_int(i, "--idle-polls", &cfg.idle_polls)) return 2;
-    } else if (arg == "--help" || arg == "-h") {
-      out << kUsage;
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      err << "tlsreport: unknown flag " << arg << "\n" << kUsage;
-      return 2;
-    } else {
-      cfg.inputs.push_back(arg);
-    }
+  std::vector<std::string> args(argv + 1, argv + argc);
+  for (std::string& arg : args) {
+    if (arg == "-h") arg = "--help";
   }
+  sim::Flags flags;
+  std::string error;
+  if (!flags.parse(args, kFlags, &error)) {
+    err << "tlsreport: " << error << "\n" << usage();
+    return 2;
+  }
+  if (flags.has("help")) {
+    out << usage();
+    return 0;
+  }
+  Polls limits;
+  constexpr long kMax = std::numeric_limits<long>::max();
+  if (!flags.integer("poll-ms", 500, 0, kMax, &limits.interval_ms, &error) ||
+      !flags.integer("max-polls", 0, 0, kMax, &limits.max, &error) ||
+      !flags.integer("idle-polls", 0, 0, kMax, &limits.idle, &error)) {
+    err << "tlsreport: " << error << " (expects a non-negative integer)\n"
+        << usage();
+    return 2;
+  }
+  const std::vector<std::string>& inputs = flags.positional;
+  const bool diff = flags.has("diff");
+  const bool quiet = flags.has("quiet");
+  const std::string csv_path = flags.get("csv");
+  const std::string json_path = flags.get("json");
+  const std::string html_path = flags.get("html");
 
-  if (cfg.follow && cfg.diff_mode) {
+  if (flags.has("follow") && diff) {
     err << "tlsreport: --follow and --diff are mutually exclusive\n"
-        << kUsage;
+        << usage();
     return 2;
   }
 
-  std::size_t expected = cfg.diff_mode ? 2u : 1u;
-  if (cfg.inputs.size() != expected) {
+  std::size_t expected = diff ? 2u : 1u;
+  if (inputs.size() != expected) {
     err << "tlsreport: expected " << expected << " trace CSV path"
-        << (expected == 1 ? "" : "s") << ", got " << cfg.inputs.size() << "\n"
-        << kUsage;
+        << (expected == 1 ? "" : "s") << ", got " << inputs.size() << "\n"
+        << usage();
     return 2;
   }
 
-  if (cfg.follow) {
-    if (cfg.html_path.empty()) {
+  if (flags.has("follow")) {
+    if (html_path.empty()) {
       err << "tlsreport: --follow requires --html PATH (the live "
              "dashboard)\n"
-          << kUsage;
+          << usage();
       return 2;
     }
-    return run_follow(cfg, hooks, out, err);
+    return run_follow(flags, limits, hooks, out, err);
   }
 
   std::vector<RunReport> reports;
-  for (const std::string& path : cfg.inputs) {
-    std::string error;
-    if (cfg.stream) {
+  for (const std::string& path : inputs) {
+    if (flags.has("stream")) {
       // Bounded memory: events flow straight from the chunked reader into
       // the streaming engine, never materializing the full vector.
       StreamingAnalyzer analyzer;
@@ -274,29 +222,26 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
     }
   }
 
-  if (cfg.diff_mode) {
-    if (cfg.label_a.empty()) cfg.label_a = label_from_path(cfg.inputs[0]);
-    if (cfg.label_b.empty()) cfg.label_b = label_from_path(cfg.inputs[1]);
-    DiffReport d =
-        diff_reports(reports[0], reports[1], cfg.label_a, cfg.label_b);
-    if (!cfg.quiet) out << diff_text(d);
-    if (!cfg.csv_path.empty() &&
-        !write_file(cfg.csv_path, diff_csv(d), err)) {
+  if (diff) {
+    std::string label_a = flags.get("label-a");
+    std::string label_b = flags.get("label-b");
+    if (label_a.empty()) label_a = label_from_path(inputs[0]);
+    if (label_b.empty()) label_b = label_from_path(inputs[1]);
+    DiffReport d = diff_reports(reports[0], reports[1], label_a, label_b);
+    if (!quiet) out << diff_text(d);
+    if (!save(csv_path, diff_csv(d), err) ||
+        !save(json_path, diff_json(d), err)) {
       return 2;
     }
-    if (!cfg.json_path.empty() &&
-        !write_file(cfg.json_path, diff_json(d), err)) {
-      return 2;
-    }
-    if (!cfg.html_path.empty()) {
+    if (!html_path.empty()) {
       HtmlOptions opts;
-      opts.title = "tlsreport diff: " + cfg.label_a + " vs " + cfg.label_b;
-      opts.label_a = cfg.label_a;
-      opts.label_b = cfg.label_b;
-      if (!write_file(cfg.html_path,
-                      report_html(report_json(reports[0]),
-                                  report_json(reports[1]), opts),
-                      err)) {
+      opts.title = "tlsreport diff: " + label_a + " vs " + label_b;
+      opts.label_a = label_a;
+      opts.label_b = label_b;
+      if (!save(html_path,
+                report_html(report_json(reports[0]), report_json(reports[1]),
+                            opts),
+                err)) {
         return 2;
       }
     }
@@ -304,20 +249,16 @@ int run_report_cli(int argc, const char* const* argv, std::ostream& out,
   }
 
   const RunReport& r = reports[0];
-  if (!cfg.quiet) out << report_text(r);
-  if (!cfg.csv_path.empty() && !write_file(cfg.csv_path, report_csv(r), err)) {
+  if (!quiet) out << report_text(r);
+  if (!save(csv_path, report_csv(r), err) ||
+      !save(json_path, report_json(r), err)) {
     return 2;
   }
-  if (!cfg.json_path.empty() &&
-      !write_file(cfg.json_path, report_json(r), err)) {
-    return 2;
-  }
-  if (!cfg.html_path.empty()) {
+  if (!html_path.empty()) {
     HtmlOptions opts;
-    opts.title = "tlsreport: " + label_from_path(cfg.inputs[0]);
-    opts.label_a = label_from_path(cfg.inputs[0]);
-    if (!write_file(cfg.html_path, report_html(report_json(r), "", opts),
-                    err)) {
+    opts.title = "tlsreport: " + label_from_path(inputs[0]);
+    opts.label_a = label_from_path(inputs[0]);
+    if (!save(html_path, report_html(report_json(r), "", opts), err)) {
       return 2;
     }
   }

@@ -2,20 +2,14 @@
 // drive it without spawning processes. The tools/tlsreport.cpp main is a
 // two-line trampoline into run_report_cli().
 //
-// Usage:
-//   tlsreport <trace.csv> [--csv PATH] [--json PATH] [--html PATH]
-//             [--stream] [--quiet]
-//   tlsreport --follow <trace.csv> --html PATH [--poll-ms N]
-//             [--max-polls N] [--idle-polls N] [--json PATH] [--quiet]
-//   tlsreport --diff <a.csv> <b.csv> [--label-a NAME] [--label-b NAME]
-//             [--csv PATH] [--json PATH] [--html PATH] [--quiet]
-//
-// Analyzes one run's trace CSV (or compares two) and prints the text
-// report to `out`; --csv/--json/--html additionally write the
-// machine-readable and dashboard forms. --stream runs the bounded-memory
-// StreamingAnalyzer over the file instead of buffering every event;
-// --follow tails a growing trace CSV, re-rendering the --html dashboard as
-// new iterations finalize. Exit codes: 0 success, 2 usage/input error.
+// `tlsreport --help` prints the usage and the flag table (report_cli.cpp).
+// It analyzes one run's trace CSV (or, with --diff, compares two) and
+// prints the text report to `out`; --csv/--json/--html additionally write
+// the machine-readable and dashboard forms. --stream runs the
+// bounded-memory StreamingAnalyzer over the file instead of buffering
+// every event; --follow tails a growing trace CSV, re-rendering the --html
+// dashboard as new iterations finalize. Exit codes: 0 success, 2
+// usage/input/output error.
 //
 // The library never sleeps or reads wall clocks (determinism lint); the
 // pause between --follow polls is injected by the caller through

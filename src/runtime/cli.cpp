@@ -1,13 +1,16 @@
 #include "runtime/cli.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <exception>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "exp/experiment.hpp"
 #include "exp/export.hpp"
 #include "metrics/report.hpp"
+#include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/scenario_runner.hpp"
@@ -15,140 +18,202 @@
 
 namespace tls::runtime {
 
-std::string CliArgs::get(const std::string& key,
-                         const std::string& fallback) const {
-  std::string value = fallback;
-  for (const auto& [k, v] : flags) {
-    if (k == key) value = v;
-  }
-  return value;
-}
-
-bool CliArgs::has(const std::string& key) const {
-  for (const auto& [k, v] : flags) {
-    (void)v;
-    if (k == key) return true;
-  }
-  return false;
-}
-
-bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
-                std::string* error) {
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::string& a = raw[i];
-    if (a.rfind("--", 0) != 0) {
-      out->positional.push_back(a);
-      continue;
-    }
-    std::string key = a.substr(2);
-    if (key.empty()) {
-      *error = "empty flag name";
-      return false;
-    }
-    auto eq = key.find('=');
-    if (eq != std::string::npos) {
-      out->flags.emplace_back(key.substr(0, eq), key.substr(eq + 1));
-      continue;
-    }
-    // "--key value" when the next token is not itself a flag; otherwise a
-    // boolean switch.
-    if (i + 1 < raw.size() && raw[i + 1].rfind("--", 0) != 0) {
-      out->flags.emplace_back(key, raw[i + 1]);
-      ++i;
-    } else {
-      out->flags.emplace_back(key, "true");
-    }
-  }
-  return true;
-}
-
 namespace {
 
-constexpr const char* kUsage = R"(tlsim - TensorLights cluster simulator
+using sim::FlagSpec;
 
-usage: tlsim <command> [flags]
+// The flag table, in sections. A command accepts the rows of the sections
+// it reads (kCommands); `tlsim help` renders them in this order.
+constexpr FlagSpec kSharedFlags[] = {
+    {"hosts", "N", "cluster hosts (21; scenario: 12)"},
+    {"seed", "N", "simulation seed (1)"},
+    {"policy", "P", "fifo|tls-one|tls-rr (tls-rr)"},
+    {"strategy", "S", "priority order: arrival|random|smallest (arrival)"},
+    {"bands", "N", "tc bands, 1-15; more than 8 selects prio (6)"},
+    {"interval-s", "X", "TLs-RR rotation interval (10; scenario: 20)"},
+    {"link-gbps", "X", "NIC line rate (10)"},
+    {"threads", "N",
+     "worker threads for independent runs (0 = $TLS_JOBS\n"
+     "or hardware concurrency; 1 = serial)"},
+    {"metrics", "PATH", "long-format metrics timeseries CSV"},
+    {"csv", nullptr, "print the result table as CSV"},
+};
 
-commands:
-  run              one experiment, full report
-  compare          FIFO vs TLs-One vs TLs-RR on one configuration
-  sweep-placement  Table I placements under every policy
-  sweep-batch      local batch sizes {1,2,4,8,16} under every policy
-  scenario         trace-driven dynamic cluster: jobs arrive/depart over
-                   hours of simulated time (see scenario flags below)
-  help             this text
+constexpr FlagSpec kExperimentFlags[] = {
+    {"jobs", "N", "training jobs (21)"},
+    {"workers", "N", "workers per job, at most hosts - 1 (20)"},
+    {"ps", "N", "parameter servers per job (1)"},
+    {"batch", "N", "local batch size (4)"},
+    {"iters", "N", "iterations per worker (60)"},
+    {"placement", "IDX", "Table I PS placement, 1-8 (1)"},
+    {"background", nullptr, "add Poisson background cross-traffic"},
+    {"cache", "DIR",
+     "content-addressed result cache\n"
+     "(default: $TLS_CACHE_DIR; unset = off)"},
+    {"no-cache", nullptr, "force the result cache off"},
+    {"progress", nullptr, "per-run progress/ETA lines on stderr"},
+    {"trace", "PATH", "Chrome trace-event JSON (Perfetto)"},
+    {"trace-csv", "PATH", "same events in compact CSV form"},
+    {"trace-filter", "CATS",
+     "chunk,qdisc,htb,rotation,barrier,straggler,sample,\n"
+     "flow,ingress,compute; all (default) or none"},
+    {"trace-sample", "SPEC",
+     "keep one event in N per category, e.g. qdisc=16,\n"
+     "htb=8 (attribution categories are always exact)"},
+    {"report", "PATH",
+     "straggler-attribution report (critical-path\n"
+     "decomposition + contention blame; tlsreport text)"},
+    {"report-csv", "PATH", "same report as tidy long CSV"},
+    {"report-json", "PATH", "same report as tlsreport-v2 JSON"},
+    {"report-html", "PATH", "same report as a self-contained HTML dashboard"},
+};
 
-flags (defaults = the paper's testbed):
-  --hosts N (21) --jobs N (21) --workers N (20) --ps N (1)
-  --batch N (4) --iters N (60) --placement IDX (1) --seed N (1)
-  --policy fifo|tls-one|tls-rr (tls-rr)
-  --strategy arrival|random|smallest (arrival)
-  --bands N (6) --interval-s X (10) --link-gbps X (10)
-  --replicas N (1) --background --csv --export-prefix PATH
+constexpr FlagSpec kRunFlags[] = {
+    {"replicas", "N", "runs with consecutive seeds (1)"},
+    {"export-prefix", "PATH",
+     "write PATH.jobs.csv, PATH.barriers.csv and\n"
+     "PATH.json for the first replica"},
+};
 
-execution flags (host-side; results are byte-identical at any thread count):
-  --threads N      worker threads for independent runs
-                   (0 = $TLS_JOBS or hardware concurrency; 1 = serial)
-  --cache DIR      content-addressed result cache (default: $TLS_CACHE_DIR;
-                   unset = off) --no-cache forces it off
-  --progress       per-run progress/ETA lines on stderr
+constexpr FlagSpec kScenarioFlags[] = {
+    {"cores", "N", "CPU cores per host (6)"},
+    {"scenario-jobs", "N", "trace length (100)"},
+    {"scenario-arrivals", "A", "poisson|pareto (poisson)"},
+    {"scenario-mean-s", "X", "Poisson mean interarrival (30)"},
+    {"scenario-pareto-alpha", "X", "bounded-Pareto interarrival shape (1.5)"},
+    {"scenario-pareto-min-s", "X", "bounded-Pareto lower bound (2)"},
+    {"scenario-pareto-max-s", "X", "bounded-Pareto upper bound (600)"},
+    {"scenario-models", "LIST",
+     "comma list of zoo models, or mix = all\n(resnet32_cifar10)"},
+    {"scenario-workers-min", "N", "fewest workers per job (2)"},
+    {"scenario-workers-max", "N", "most workers per job (8)"},
+    {"scenario-iters-min", "N", "fewest iterations per job (20)"},
+    {"scenario-iters-max", "N", "most iterations per job (80)"},
+    {"scenario-batch", "N", "local batch size (4)"},
+    {"scenario-evict-frac", "X", "fraction of jobs evicted mid-flight (0)"},
+    {"scenario-evict-min-s", "X", "shortest evicted-job lifetime (30)"},
+    {"scenario-evict-max-s", "X", "longest evicted-job lifetime (300)"},
+    {"scenario-trace-seed", "N", "workload seed, fixed across --policy (1)"},
+    {"scenario-admission", "A", "share|queue|reject (share)"},
+    {"scenario-band-limit", "N",
+     "PS jobs/host before admission kicks in\n"
+     "(-1 = follow --bands, 0 = unlimited) (-1)"},
+    {"scenario-time-limit-s", "X", "hard stop in simulated seconds (14400)"},
+    {"scenario-sample-s", "X", "occupancy gauge period, 0 = off (10)"},
+    {"scenario-compare", nullptr, "FIFO vs TLs-One vs TLs-RR, same trace"},
+    {"scenario-trace", "PATH", "replay a trace CSV instead of generating"},
+    {"scenario-trace-out", "PATH", "write the trace CSV actually used"},
+    {"scenario-out", "PATH", "scenario-v1 JSON result"},
+    {"scenario-csv", "PATH", "per-job outcome CSV"},
+};
 
-observability flags (artifacts never change results; multi-run commands
-derive per-run paths, e.g. trace.json -> trace.run-label.json):
-  --trace PATH         Chrome trace-event JSON (Perfetto/chrome://tracing)
-  --trace-csv PATH     same events in compact CSV form
-  --trace-filter CATS  comma list of chunk,qdisc,htb,rotation,barrier,
-                       straggler,sample,flow,ingress,compute; or
-                       all (default) / none
-  --trace-sample SPEC  capture sampling, comma list of cat=N keeping one
-                       event in N (e.g. qdisc=16,htb=8); attribution
-                       categories are always kept exact
-  --metrics PATH       long-format metrics timeseries CSV
-  --report PATH        straggler-attribution report (critical-path
-                       decomposition + contention blame; tlsreport text)
-  --report-csv PATH    same report as tidy long CSV
-  --report-json PATH   same report as tlsreport-v2 JSON
-  --report-html PATH   same report as a self-contained HTML dashboard
+struct Section {
+  const char* title;
+  std::span<const FlagSpec> rows;
+};
 
-scenario flags (shared flags that apply: --hosts (12 here), --policy,
---strategy, --bands, --interval-s (20 here), --link-gbps, --seed,
---threads, --csv):
-  --scenario-jobs N (100)        trace length
-  --scenario-arrivals poisson|pareto (poisson)
-  --scenario-mean-s X (30)       Poisson mean interarrival
-  --scenario-pareto-alpha X (1.5) --scenario-pareto-min-s X (2)
-  --scenario-pareto-max-s X (600) bounded-Pareto interarrival shape/bounds
-  --scenario-models LIST         comma list of zoo models, or mix = all
-                                 (default resnet32_cifar10)
-  --scenario-workers-min N (2) --scenario-workers-max N (8)
-  --scenario-iters-min N (20) --scenario-iters-max N (80)
-  --scenario-batch N (4)         local batch size
-  --scenario-evict-frac X (0)    fraction of jobs evicted mid-flight
-  --scenario-evict-min-s X (30) --scenario-evict-max-s X (300)
-  --scenario-trace-seed N (1)    workload seed (fixed across --policy)
-  --scenario-admission share|queue|reject (share)
-  --scenario-band-limit N (-1)   PS jobs/host before admission kicks in
-                                 (-1 = follow --bands, 0 = unlimited)
-  --scenario-time-limit-s X (14400) --scenario-sample-s X (10)
-  --scenario-compare             FIFO vs TLs-One vs TLs-RR, same trace
-  --scenario-trace PATH          replay a trace CSV instead of generating
-  --scenario-trace-out PATH      write the trace CSV actually used
-  --scenario-out PATH            scenario-v1 JSON result
-  --scenario-csv PATH            per-job outcome CSV
-)";
+const Section kSections[] = {
+    {"shared flags (defaults = the paper's testbed):", kSharedFlags},
+    {"run, compare, sweep-placement and sweep-batch (artifacts never change\n"
+     "results; multi-run commands derive per-run paths, e.g. trace.json ->\n"
+     "trace.run-label.json):",
+     kExperimentFlags},
+    {"run only:", kRunFlags},
+    {"scenario only:", kScenarioFlags},
+};
 
-bool parse_policy(const std::string& s, core::PolicyKind* out) {
-  if (s == "fifo") *out = core::PolicyKind::kFifo;
-  else if (s == "tls-one") *out = core::PolicyKind::kTlsOne;
-  else if (s == "tls-rr") *out = core::PolicyKind::kTlsRR;
-  else return false;
+struct Command {
+  const char* name;
+  const char* help;
+  unsigned sections;  // bit i set = reads the flags of kSections[i]
+};
+
+constexpr Command kCommands[] = {
+    {"run", "one experiment, full report", 0b0111},
+    {"compare", "FIFO vs TLs-One vs TLs-RR on one configuration", 0b0011},
+    {"sweep-placement", "Table I placements under every policy", 0b0011},
+    {"sweep-batch", "local batch sizes {1,2,4,8,16} under every policy",
+     0b0011},
+    {"scenario", "trace-driven dynamic cluster: jobs arrive and depart",
+     0b1001},
+    {"help", "this text", 0},
+};
+
+std::string usage() {
+  std::string text =
+      "tlsim - TensorLights cluster simulator\n\n"
+      "usage: tlsim <command> [flags]\n\ncommands:\n";
+  for (const Command& c : kCommands) {
+    std::string name = c.name;
+    text += "  " + name + std::string(17 - name.size(), ' ') + c.help + "\n";
+  }
+  text +=
+      "\nFlags are --name VALUE or --name=VALUE; a switch takes no value.\n"
+      "Each command accepts only the flags of the sections it reads; every\n"
+      "command but help reads the shared flags.\n";
+  for (const Section& s : kSections) {
+    text += std::string("\n") + s.title + "\n" + sim::flag_help(s.rows);
+  }
+  return text;
+}
+
+/// False with a message when `args` holds a positional argument or a flag
+/// that `command` does not read.
+bool check_command_args(const Command& command, const CliArgs& args,
+                        std::string* error) {
+  if (!args.positional.empty()) {
+    *error = "unexpected argument '" + args.positional.front() + "'";
+    return false;
+  }
+  for (const auto& [name, value] : args.given) {
+    bool reads = false;
+    for (std::size_t i = 0; i < std::size(kSections); ++i) {
+      if ((command.sections >> i & 1u) == 0) continue;
+      for (const FlagSpec& row : kSections[i].rows) reads |= name == row.name;
+    }
+    if (!reads) {
+      *error = std::string(command.name) + " does not take --" + name +
+               " (see tlsim help)";
+      return false;
+    }
+  }
   return true;
 }
 
-bool parse_strategy(const std::string& s, core::AssignStrategy* out) {
-  if (s == "arrival") *out = core::AssignStrategy::kArrivalOrder;
-  else if (s == "random") *out = core::AssignStrategy::kRandom;
-  else if (s == "smallest") *out = core::AssignStrategy::kSmallestModelFirst;
-  else return false;
+/// The flags both configurations read: cluster size, seed, and the
+/// controller and fabric knobs. The --hosts and --interval-s defaults and
+/// the lower bound of --interval-s/--link-gbps differ between the paper's
+/// testbed and the scenario engine.
+template <typename Config>
+bool build_shared(const CliArgs& args, long hosts, double interval_s,
+                  double min_real, Config* config, std::string* error) {
+  core::ControllerConfig& controller = config->controller;
+  long seed, bands;
+  double link_gbps;
+  if (!args.integer("hosts", hosts, 2, 4096, &hosts, error) ||
+      !args.integer("seed", 1, 0, INT64_MAX / 2, &seed, error) ||
+      !args.integer("bands", 6, 1, 15, &bands, error) ||
+      !args.real("interval-s", interval_s, min_real, &interval_s, error) ||
+      !args.real("link-gbps", 10.0, min_real, &link_gbps, error) ||
+      !args.choice("policy", core::PolicyKind::kTlsRR,
+                   {{"fifo", core::PolicyKind::kFifo},
+                    {"tls-one", core::PolicyKind::kTlsOne},
+                    {"tls-rr", core::PolicyKind::kTlsRR}},
+                   &controller.policy, error) ||
+      !args.choice("strategy", core::AssignStrategy::kArrivalOrder,
+                   {{"arrival", core::AssignStrategy::kArrivalOrder},
+                    {"random", core::AssignStrategy::kRandom},
+                    {"smallest", core::AssignStrategy::kSmallestModelFirst}},
+                   &controller.strategy, error)) {
+    return false;
+  }
+  config->num_hosts = static_cast<int>(hosts);
+  config->seed = static_cast<std::uint64_t>(seed);
+  config->fabric.link_rate = net::gbps(link_gbps);
+  controller.max_bands = static_cast<int>(bands);
+  controller.rotation_interval = sim::from_seconds(interval_s);
+  // The prio data plane allows more bands than htb's 8 priority levels.
+  if (bands > 8) controller.data_plane = core::DataPlane::kPrio;
   return true;
 }
 
@@ -156,53 +221,22 @@ bool parse_strategy(const std::string& s, core::AssignStrategy* out) {
 /// message on any invalid value.
 bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
                   std::string* error) {
-  auto to_long = [&](const std::string& key, long fallback, long lo, long hi,
-                     long* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || parsed < lo || parsed > hi) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
-  auto to_double = [&](const std::string& key, double fallback, double* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    double parsed = std::strtod(v.c_str(), &end);
-    if (end == nullptr || *end != '\0' || parsed <= 0) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
-
-  long hosts, jobs, workers, ps, batch, iters, placement, seed, bands;
-  double interval_s, link_gbps;
-  if (!to_long("hosts", 21, 2, 4096, &hosts)) return false;
-  if (!to_long("jobs", 21, 1, 4096, &jobs)) return false;
-  if (!to_long("workers", 20, 1, 4095, &workers)) return false;
-  if (!to_long("ps", 1, 1, 64, &ps)) return false;
-  if (!to_long("batch", 4, 1, 65536, &batch)) return false;
-  if (!to_long("iters", 60, 1, 1000000, &iters)) return false;
-  if (!to_long("placement", 1, 1, 8, &placement)) return false;
-  if (!to_long("seed", 1, 0, INT64_MAX / 2, &seed)) return false;
-  if (!to_long("bands", 6, 1, 15, &bands)) return false;
-  if (!to_double("interval-s", 10.0, &interval_s)) return false;
-  if (!to_double("link-gbps", 10.0, &link_gbps)) return false;
-
-  config->num_hosts = static_cast<int>(hosts);
+  // The smallest positive double: --interval-s and --link-gbps must be > 0.
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+  long jobs, workers, ps, batch, iters, placement;
+  if (!build_shared(args, 21, 10.0, kPositive, config, error) ||
+      !args.integer("jobs", 21, 1, 4096, &jobs, error) ||
+      !args.integer("workers", 20, 1, 4095, &workers, error) ||
+      !args.integer("ps", 1, 1, 64, &ps, error) ||
+      !args.integer("batch", 4, 1, 65536, &batch, error) ||
+      !args.integer("iters", 60, 1, 1000000, &iters, error) ||
+      !args.integer("placement", 1, 1, 8, &placement, error)) {
+    return false;
+  }
+  if (workers > config->num_hosts - 1) {
+    *error = "--workers must be <= --hosts - 1";
+    return false;
+  }
   config->workload.num_jobs = static_cast<int>(jobs);
   config->workload.workers_per_job = static_cast<int>(workers);
   config->workload.ps_per_job = static_cast<int>(ps);
@@ -210,29 +244,7 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
   config->workload.global_step_target = workers * iters;
   config->placement =
       cluster::table1(static_cast<int>(placement), static_cast<int>(jobs));
-  config->seed = static_cast<std::uint64_t>(seed);
-  config->fabric.link_rate = net::gbps(link_gbps);
-  config->controller.max_bands = static_cast<int>(bands);
-  config->controller.rotation_interval = sim::from_seconds(interval_s);
   config->background = args.has("background");
-
-  if (workers > hosts - 1) {
-    *error = "--workers must be <= --hosts - 1";
-    return false;
-  }
-  if (!parse_policy(args.get("policy", "tls-rr"), &config->controller.policy)) {
-    *error = "bad --policy (fifo|tls-one|tls-rr)";
-    return false;
-  }
-  if (!parse_strategy(args.get("strategy", "arrival"),
-                      &config->controller.strategy)) {
-    *error = "bad --strategy (arrival|random|smallest)";
-    return false;
-  }
-  // The prio data plane allows more bands than htb's 8 priority levels.
-  if (config->controller.max_bands > 8) {
-    config->controller.data_plane = core::DataPlane::kPrio;
-  }
 
   config->obs.trace_path = args.get("trace");
   config->obs.trace_csv_path = args.get("trace-csv");
@@ -262,14 +274,9 @@ bool build_config(const CliArgs& args, exp::ExperimentConfig* config,
 /// with a message on a malformed value.
 bool build_run_options(const CliArgs& args, RunOptions* options,
                        std::string* error) {
-  std::string threads = args.get("threads", "0");
-  char* end = nullptr;
-  long parsed = std::strtol(threads.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 0 || parsed > 4096) {
-    *error = "bad value for --threads: '" + threads + "'";
-    return false;
-  }
-  options->jobs = static_cast<int>(parsed);
+  long threads;
+  if (!args.integer("threads", 0, 0, 4096, &threads, error)) return false;
+  options->jobs = static_cast<int>(threads);
   if (args.has("cache")) options->cache_dir = args.get("cache");
   if (args.has("no-cache")) options->cache_dir.clear();
   options->progress = args.has("progress");
@@ -293,11 +300,17 @@ void add_result_row(metrics::Table* table, const exp::ExperimentResult& r,
 int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
             const RunOptions& options, std::ostream& out,
             std::ostream& err) {
-  long replicas = std::strtol(args.get("replicas", "1").c_str(), nullptr, 10);
-  if (replicas < 1) replicas = 1;
-  RunReport report = run_plan(
-      RunPlan::replicated(config, static_cast<int>(replicas)),
-      options);
+  // Any integer is accepted; fewer than one replica runs one.
+  long replicas;
+  std::string error;
+  if (!args.integer("replicas", 1, std::numeric_limits<long>::min(),
+                    std::numeric_limits<int>::max(), &replicas, &error)) {
+    err << "tlsim: " << error << "\n";
+    return 2;
+  }
+  replicas = std::max(replicas, 1L);
+  RunPlan plan = RunPlan::replicated(config, static_cast<int>(replicas));
+  RunReport report = run_plan(plan, options);
   std::vector<exp::ExperimentResult>& runs = report.results;
   metrics::Table table({"policy", "avg JCT (s)", "min", "max", "norm",
                         "barrier wait (ms)", "wait var (ms^2)", "tc cmds"});
@@ -312,11 +325,12 @@ int cmd_run(const CliArgs& args, const exp::ExperimentConfig& config,
   // PATH.json for the first replica.
   std::string prefix = args.get("export-prefix");
   if (!prefix.empty()) {
-    std::string error;
-    if (!exp::write_file(prefix + ".jobs.csv", exp::jobs_csv(runs.front()), &error) ||
-        !exp::write_file(prefix + ".barriers.csv", exp::barriers_csv(runs.front()),
-                    &error) ||
-        !exp::write_file(prefix + ".json", exp::to_json(runs.front()), &error)) {
+    if (!obs::write_file(prefix + ".jobs.csv", exp::jobs_csv(runs.front()),
+                         &error) ||
+        !obs::write_file(prefix + ".barriers.csv",
+                         exp::barriers_csv(runs.front()), &error) ||
+        !obs::write_file(prefix + ".json", exp::to_json(runs.front()),
+                         &error)) {
       err << "tlsim: export failed: " << error << "\n";
       return 1;
     }
@@ -340,45 +354,28 @@ int cmd_compare(const CliArgs& args, const exp::ExperimentConfig& config,
   return 0;
 }
 
-int cmd_sweep_placement(const CliArgs& args, const exp::ExperimentConfig& config,
-                        const RunOptions& options,
-                        std::ostream& out) {
-  metrics::Table table({"placement", "FIFO avg JCT (s)", "TLs-One norm",
-                        "TLs-RR norm"});
-  const std::vector<int> indices = {1, 2, 3, 4, 5, 6, 7, 8};
+/// sweep-placement (Table I indices) or sweep-batch (local batch sizes):
+/// FIFO JCT and the normalized TLs JCTs per swept value.
+int cmd_sweep(const CliArgs& args, const exp::ExperimentConfig& config,
+              const RunOptions& options, bool placement, std::ostream& out) {
+  const std::vector<int> values =
+      placement ? std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}
+                : std::vector<int>{1, 2, 4, 8, 16};
+  const std::vector<core::PolicyKind> policies = RunPlan::default_policies();
   RunReport report = run_plan(
-      RunPlan::placement_sweep(config, indices,
-                                        RunPlan::default_policies()),
+      placement ? RunPlan::placement_sweep(config, values, policies)
+                : RunPlan::batch_sweep(config, values, policies),
       options);
-  // Row-major: results[3*i + {0,1,2}] = placement indices[i] under
+  metrics::Table table({placement ? "placement" : "batch", "FIFO avg JCT (s)",
+                        "TLs-One norm", "TLs-RR norm"});
+  // Row-major: results[3*i + {0,1,2}] = values[i] under
   // {FIFO, TLs-One, TLs-RR}.
-  for (std::size_t i = 0; i < indices.size(); ++i) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
     const exp::ExperimentResult& fifo = report.results[3 * i];
     const exp::ExperimentResult& one = report.results[3 * i + 1];
     const exp::ExperimentResult& rr = report.results[3 * i + 2];
-    table.add_row({"#" + std::to_string(indices[i]),
+    table.add_row({(placement ? "#" : "") + std::to_string(values[i]),
                    metrics::fmt(fifo.avg_jct_s),
-                   metrics::fmt(exp::avg_normalized_jct(one, fifo), 3),
-                   metrics::fmt(exp::avg_normalized_jct(rr, fifo), 3)});
-  }
-  emit(table, args.has("csv"), out);
-  return 0;
-}
-
-int cmd_sweep_batch(const CliArgs& args, const exp::ExperimentConfig& config,
-                    const RunOptions& options, std::ostream& out) {
-  metrics::Table table({"batch", "FIFO avg JCT (s)", "TLs-One norm",
-                        "TLs-RR norm"});
-  const std::vector<int> batches = {1, 2, 4, 8, 16};
-  RunReport report = run_plan(
-      RunPlan::batch_sweep(config, batches,
-                                    RunPlan::default_policies()),
-      options);
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    const exp::ExperimentResult& fifo = report.results[3 * i];
-    const exp::ExperimentResult& one = report.results[3 * i + 1];
-    const exp::ExperimentResult& rr = report.results[3 * i + 2];
-    table.add_row({std::to_string(batches[i]), metrics::fmt(fifo.avg_jct_s),
                    metrics::fmt(exp::avg_normalized_jct(one, fifo), 3),
                    metrics::fmt(exp::avg_normalized_jct(rr, fifo), 3)});
   }
@@ -389,193 +386,68 @@ int cmd_sweep_batch(const CliArgs& args, const exp::ExperimentConfig& config,
 // ---------------------------------------------------------------------
 // tlsim scenario — the dynamic-cluster workload engine front end.
 
-/// Every --scenario-* key the CLI understands; anything else starting
-/// with "scenario-" is rejected with this list (mirroring the
-/// --trace-filter category check).
-const char* const kScenarioFlagNames[] = {
-    "scenario-jobs",         "scenario-arrivals",
-    "scenario-mean-s",       "scenario-pareto-alpha",
-    "scenario-pareto-min-s", "scenario-pareto-max-s",
-    "scenario-models",       "scenario-workers-min",
-    "scenario-workers-max",  "scenario-iters-min",
-    "scenario-iters-max",    "scenario-batch",
-    "scenario-evict-frac",   "scenario-evict-min-s",
-    "scenario-evict-max-s",  "scenario-trace-seed",
-    "scenario-admission",    "scenario-band-limit",
-    "scenario-time-limit-s", "scenario-sample-s",
-    "scenario-compare",      "scenario-trace",
-    "scenario-trace-out",    "scenario-out",
-    "scenario-csv",
-};
-
-bool check_scenario_flag_names(const CliArgs& args, std::string* error) {
-  for (const auto& [k, v] : args.flags) {
-    (void)v;
-    if (k.rfind("scenario-", 0) != 0) continue;
-    bool known = false;
-    for (const char* name : kScenarioFlagNames) {
-      if (k == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string valid;
-      for (const char* name : kScenarioFlagNames) {
-        if (!valid.empty()) valid += ", ";
-        valid += "--";
-        valid += name;
-      }
-      *error = "unknown flag --" + k + " (valid scenario flags: " + valid + ")";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool parse_arrivals(const std::string& s, scenario::ArrivalProcess* out) {
-  if (s == "poisson") *out = scenario::ArrivalProcess::kPoisson;
-  else if (s == "pareto") *out = scenario::ArrivalProcess::kParetoBounded;
-  else return false;
-  return true;
-}
-
-bool parse_admission(const std::string& s, cluster::AdmissionPolicy* out) {
-  if (s == "share") *out = cluster::AdmissionPolicy::kShareBand;
-  else if (s == "queue") *out = cluster::AdmissionPolicy::kQueue;
-  else if (s == "reject") *out = cluster::AdmissionPolicy::kReject;
-  else return false;
-  return true;
-}
-
 bool build_scenario_config(const CliArgs& args, scenario::Config* config,
                            std::string* error) {
-  if (!check_scenario_flag_names(args, error)) return false;
-
-  auto to_long = [&](const std::string& key, long fallback, long lo, long hi,
-                     long* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || parsed < lo || parsed > hi) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
-  auto to_double = [&](const std::string& key, double fallback, double lo,
-                       double* out) {
-    std::string v = args.get(key);
-    if (v.empty()) {
-      *out = fallback;
-      return true;
-    }
-    char* end = nullptr;
-    double parsed = std::strtod(v.c_str(), &end);
-    if (end == nullptr || *end != '\0' || parsed < lo) {
-      *error = "bad value for --" + key + ": '" + v + "'";
-      return false;
-    }
-    *out = parsed;
-    return true;
-  };
-
-  long hosts, cores, bands, seed, trace_seed, jobs, workers_min, workers_max;
-  long iters_min, iters_max, batch, band_limit;
-  double interval_s, link_gbps, mean_s, alpha, pareto_min, pareto_max;
-  double evict_frac, evict_min, evict_max, time_limit_s, sample_s;
-  if (!to_long("hosts", 12, 2, 4096, &hosts)) return false;
-  if (!to_long("cores", 6, 1, 1024, &cores)) return false;
-  if (!to_long("bands", 6, 1, 15, &bands)) return false;
-  if (!to_long("seed", 1, 0, INT64_MAX / 2, &seed)) return false;
-  if (!to_long("scenario-trace-seed", 1, 0, INT64_MAX / 2, &trace_seed)) {
+  scenario::TraceConfig& trace = config->trace;
+  long cores, trace_seed, jobs, workers_min, workers_max, iters_min;
+  long iters_max, batch, band_limit;
+  double time_limit_s, sample_s;
+  if (!build_shared(args, 12, 20.0, 1e-3, config, error) ||
+      !args.integer("cores", 6, 1, 1024, &cores, error) ||
+      !args.integer("scenario-trace-seed", 1, 0, INT64_MAX / 2, &trace_seed,
+                    error) ||
+      !args.integer("scenario-jobs", 100, 1, 100000, &jobs, error) ||
+      !args.integer("scenario-workers-min", 2, 1, 4095, &workers_min, error) ||
+      !args.integer("scenario-workers-max", 8, 1, 4095, &workers_max, error) ||
+      !args.integer("scenario-iters-min", 20, 1, 1000000, &iters_min, error) ||
+      !args.integer("scenario-iters-max", 80, 1, 1000000, &iters_max, error) ||
+      !args.integer("scenario-batch", 4, 1, 65536, &batch, error) ||
+      !args.integer("scenario-band-limit", -1, -1, 4096, &band_limit, error) ||
+      !args.real("scenario-mean-s", 30.0, 1e-6, &trace.mean_interarrival_s,
+                 error) ||
+      !args.real("scenario-pareto-alpha", 1.5, 1e-6, &trace.pareto_alpha,
+                 error) ||
+      !args.real("scenario-pareto-min-s", 2.0, 1e-6, &trace.pareto_min_s,
+                 error) ||
+      !args.real("scenario-pareto-max-s", 600.0, 1e-6, &trace.pareto_max_s,
+                 error) ||
+      !args.real("scenario-evict-frac", 0.0, 0.0, &trace.evict_fraction,
+                 error) ||
+      !args.real("scenario-evict-min-s", 30.0, 1e-6, &trace.evict_min_s,
+                 error) ||
+      !args.real("scenario-evict-max-s", 300.0, 1e-6, &trace.evict_max_s,
+                 error) ||
+      !args.real("scenario-time-limit-s", 14400.0, 1.0, &time_limit_s, error) ||
+      !args.real("scenario-sample-s", 10.0, 0.0, &sample_s, error) ||
+      !args.choice("scenario-arrivals", scenario::ArrivalProcess::kPoisson,
+                   {{"poisson", scenario::ArrivalProcess::kPoisson},
+                    {"pareto", scenario::ArrivalProcess::kParetoBounded}},
+                   &trace.process, error) ||
+      !args.choice("scenario-admission", cluster::AdmissionPolicy::kShareBand,
+                   {{"share", cluster::AdmissionPolicy::kShareBand},
+                    {"queue", cluster::AdmissionPolicy::kQueue},
+                    {"reject", cluster::AdmissionPolicy::kReject}},
+                   &config->admission, error)) {
     return false;
   }
-  if (!to_long("scenario-jobs", 100, 1, 100000, &jobs)) return false;
-  if (!to_long("scenario-workers-min", 2, 1, 4095, &workers_min)) return false;
-  if (!to_long("scenario-workers-max", 8, 1, 4095, &workers_max)) return false;
-  if (!to_long("scenario-iters-min", 20, 1, 1000000, &iters_min)) return false;
-  if (!to_long("scenario-iters-max", 80, 1, 1000000, &iters_max)) return false;
-  if (!to_long("scenario-batch", 4, 1, 65536, &batch)) return false;
-  if (!to_long("scenario-band-limit", -1, -1, 4096, &band_limit)) return false;
-  if (!to_double("interval-s", 20.0, 1e-3, &interval_s)) return false;
-  if (!to_double("link-gbps", 10.0, 1e-3, &link_gbps)) return false;
-  if (!to_double("scenario-mean-s", 30.0, 1e-6, &mean_s)) return false;
-  if (!to_double("scenario-pareto-alpha", 1.5, 1e-6, &alpha)) return false;
-  if (!to_double("scenario-pareto-min-s", 2.0, 1e-6, &pareto_min)) return false;
-  if (!to_double("scenario-pareto-max-s", 600.0, 1e-6, &pareto_max)) {
-    return false;
-  }
-  if (!to_double("scenario-evict-frac", 0.0, 0.0, &evict_frac)) return false;
-  if (!to_double("scenario-evict-min-s", 30.0, 1e-6, &evict_min)) return false;
-  if (!to_double("scenario-evict-max-s", 300.0, 1e-6, &evict_max)) {
-    return false;
-  }
-  if (!to_double("scenario-time-limit-s", 14400.0, 1.0, &time_limit_s)) {
-    return false;
-  }
-  if (!to_double("scenario-sample-s", 10.0, 0.0, &sample_s)) return false;
-
-  config->num_hosts = static_cast<int>(hosts);
   config->cores_per_host = static_cast<int>(cores);
-  config->controller.max_bands = static_cast<int>(bands);
-  config->controller.rotation_interval = sim::from_seconds(interval_s);
-  config->fabric.link_rate = net::gbps(link_gbps);
-  config->seed = static_cast<std::uint64_t>(seed);
   config->ps_band_limit = static_cast<int>(band_limit);
   config->time_limit = sim::from_seconds(time_limit_s);
   config->sample_period = sim::from_seconds(sample_s);
-
-  if (!parse_policy(args.get("policy", "tls-rr"),
-                    &config->controller.policy)) {
-    *error = "bad --policy (fifo|tls-one|tls-rr)";
-    return false;
-  }
-  if (!parse_strategy(args.get("strategy", "arrival"),
-                      &config->controller.strategy)) {
-    *error = "bad --strategy (arrival|random|smallest)";
-    return false;
-  }
-  if (config->controller.max_bands > 8) {
-    config->controller.data_plane = core::DataPlane::kPrio;
-  }
-  std::string arrivals = args.get("scenario-arrivals", "poisson");
-  if (!parse_arrivals(arrivals, &config->trace.process)) {
-    *error = "bad --scenario-arrivals '" + arrivals + "' (poisson|pareto)";
-    return false;
-  }
-  std::string admission = args.get("scenario-admission", "share");
-  if (!parse_admission(admission, &config->admission)) {
-    *error = "bad --scenario-admission '" + admission +
-             "' (share|queue|reject)";
-    return false;
-  }
   std::string models = args.get("scenario-models");
   if (!models.empty() &&
-      !scenario::parse_model_mix(models, &config->trace.models, error)) {
+      !scenario::parse_model_mix(models, &trace.models, error)) {
     *error = "bad --scenario-models: " + *error;
     return false;
   }
 
-  config->trace.num_jobs = static_cast<int>(jobs);
-  config->trace.mean_interarrival_s = mean_s;
-  config->trace.pareto_alpha = alpha;
-  config->trace.pareto_min_s = pareto_min;
-  config->trace.pareto_max_s = pareto_max;
-  config->trace.min_workers = static_cast<int>(workers_min);
-  config->trace.max_workers = static_cast<int>(workers_max);
-  config->trace.min_iterations = iters_min;
-  config->trace.max_iterations = iters_max;
-  config->trace.local_batch_size = static_cast<int>(batch);
-  config->trace.evict_fraction = evict_frac;
-  config->trace.evict_min_s = evict_min;
-  config->trace.evict_max_s = evict_max;
-  config->trace.seed = static_cast<std::uint64_t>(trace_seed);
+  trace.num_jobs = static_cast<int>(jobs);
+  trace.min_workers = static_cast<int>(workers_min);
+  trace.max_workers = static_cast<int>(workers_max);
+  trace.min_iterations = iters_min;
+  trace.max_iterations = iters_max;
+  trace.local_batch_size = static_cast<int>(batch);
+  trace.seed = static_cast<std::uint64_t>(trace_seed);
   if (workers_min > workers_max) {
     *error = "--scenario-workers-min must be <= --scenario-workers-max";
     return false;
@@ -584,7 +456,7 @@ bool build_scenario_config(const CliArgs& args, scenario::Config* config,
     *error = "--scenario-iters-min must be <= --scenario-iters-max";
     return false;
   }
-  if (evict_frac > 1.0) {
+  if (trace.evict_fraction > 1.0) {
     *error = "--scenario-evict-frac must be <= 1";
     return false;
   }
@@ -633,7 +505,7 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
     scenario::Trace trace = config.replay.jobs.empty()
                                 ? scenario::generate_trace(config.trace)
                                 : config.replay;
-    if (!scenario::write_file(trace_out, scenario::trace_csv(trace), &error)) {
+    if (!obs::write_file(trace_out, scenario::trace_csv(trace), &error)) {
       err << "tlsim: trace export failed: " << error << "\n";
       return 1;
     }
@@ -655,23 +527,18 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
   }
   emit(table, args.has("csv"), out);
 
-  std::string json_path = args.get("scenario-out");
-  std::string csv_path = args.get("scenario-csv");
+  // Multi-policy runs derive per-run paths (r.json -> r.<label>.json).
+  using Render = std::string (*)(const scenario::Result&);
+  const std::pair<std::string, Render> exports[] = {
+      {args.get("scenario-out"), scenario::scenario_json},
+      {args.get("scenario-csv"), scenario::scenario_csv}};
   for (std::size_t i = 0; i < report.results.size(); ++i) {
-    const scenario::Result& r = report.results[i];
-    bool multi = report.results.size() > 1;
-    if (!json_path.empty()) {
-      std::string path =
-          multi ? obs::per_run_path(json_path, report.labels[i]) : json_path;
-      if (!scenario::write_file(path, scenario::scenario_json(r), &error)) {
-        err << "tlsim: scenario export failed: " << error << "\n";
-        return 1;
-      }
-    }
-    if (!csv_path.empty()) {
-      std::string path =
-          multi ? obs::per_run_path(csv_path, report.labels[i]) : csv_path;
-      if (!scenario::write_file(path, scenario::scenario_csv(r), &error)) {
+    for (const auto& [base, render] : exports) {
+      if (base.empty()) continue;
+      std::string path = report.results.size() > 1
+                             ? obs::per_run_path(base, report.labels[i])
+                             : base;
+      if (!obs::write_file(path, render(report.results[i]), &error)) {
         err << "tlsim: scenario export failed: " << error << "\n";
         return 1;
       }
@@ -682,47 +549,64 @@ int cmd_scenario(const CliArgs& args, const RunOptions& options,
 
 }  // namespace
 
+bool parse_args(const std::vector<std::string>& raw, CliArgs* out,
+                std::string* error) {
+  static const std::vector<FlagSpec> all = [] {
+    std::vector<FlagSpec> rows;
+    for (const Section& s : kSections) {
+      rows.insert(rows.end(), s.rows.begin(), s.rows.end());
+    }
+    return rows;
+  }();
+  return out->parse(raw, all, error);
+}
+
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
-  CliArgs parsed;
-  std::string error;
-  if (!parse_args(args, &parsed, &error)) {
-    err << "tlsim: " << error << "\n" << kUsage;
+  // The command comes first; "tlsim" alone and "tlsim --help" mean help.
+  std::string name = args.empty() ? "help" : args.front();
+  if (name == "--help") name = "help";
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (name == c.name) command = &c;
+  }
+  if (command == nullptr) {
+    err << "tlsim: unknown command '" << name << "'\n" << usage();
     return 2;
   }
-  std::string command =
-      parsed.positional.empty() ? "help" : parsed.positional.front();
-  if (command == "help" || command == "--help") {
-    out << kUsage;
+  CliArgs parsed;
+  std::string error;
+  RunOptions options;
+  if (!parse_args({args.begin() + (args.empty() ? 0 : 1), args.end()},
+                  &parsed, &error) ||
+      !check_command_args(*command, parsed, &error) ||
+      !build_run_options(parsed, &options, &error)) {
+    err << "tlsim: " << error << "\n";
+    return 2;
+  }
+  if (name == "help") {
+    out << usage();
     return 0;
   }
 
-  RunOptions options;
-  if (!build_run_options(parsed, &options, &error)) {
-    err << "tlsim: " << error << "\n";
-    return 2;
-  }
-  // The scenario command has its own configuration surface (dynamic
-  // cluster, not the static testbed), so it skips build_config.
-  if (command == "scenario") return cmd_scenario(parsed, options, out, err);
+  // A failed artifact write inside a run surfaces as an exception.
+  try {
+    // The scenario command has its own configuration surface (dynamic
+    // cluster, not the static testbed), so it skips build_config.
+    if (name == "scenario") return cmd_scenario(parsed, options, out, err);
 
-  exp::ExperimentConfig config;
-  if (!build_config(parsed, &config, &error)) {
-    err << "tlsim: " << error << "\n";
-    return 2;
+    exp::ExperimentConfig config;
+    if (!build_config(parsed, &config, &error)) {
+      err << "tlsim: " << error << "\n";
+      return 2;
+    }
+    if (name == "run") return cmd_run(parsed, config, options, out, err);
+    if (name == "compare") return cmd_compare(parsed, config, options, out);
+    return cmd_sweep(parsed, config, options, name == "sweep-placement", out);
+  } catch (const std::exception& e) {
+    err << "tlsim: " << e.what() << "\n";
+    return 1;
   }
-
-  if (command == "run") return cmd_run(parsed, config, options, out, err);
-  if (command == "compare") return cmd_compare(parsed, config, options, out);
-  if (command == "sweep-placement") {
-    return cmd_sweep_placement(parsed, config, options, out);
-  }
-  if (command == "sweep-batch") {
-    return cmd_sweep_batch(parsed, config, options, out);
-  }
-
-  err << "tlsim: unknown command '" << command << "'\n" << kUsage;
-  return 2;
 }
 
 }  // namespace tls::runtime

@@ -8,8 +8,8 @@
 
 #include "dl/model.hpp"
 #include "metrics/util_sampler.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics_registry.hpp"
-#include "scenario/export.hpp"
 #include "simcore/simulator.hpp"
 #include "tc/tc.hpp"
 #include "tensorlights/controller.hpp"
@@ -266,8 +266,8 @@ class Engine {
         .set(result.cluster_cpu_util);
     if (!config_.metrics_path.empty()) {
       std::string error;
-      if (!write_file(config_.metrics_path,
-                      registry_.timeseries_csv(sim_.now()), &error)) {
+      if (!obs::write_file(config_.metrics_path,
+                           registry_.timeseries_csv(sim_.now()), &error)) {
         throw std::runtime_error("scenario metrics export failed: " + error);
       }
     }

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "obs/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace tls::obs {
 namespace {
@@ -95,6 +100,33 @@ TEST(TraceCsv, RendersEveryFieldExactly) {
 TEST(TraceCsv, EmptyTracerIsHeaderOnly) {
   Tracer t;
   EXPECT_EQ(trace_csv(t), "at_ns,kind,cat,host,job,band,flow,bytes,a,b,dur_ns\n");
+}
+
+TEST(Export, WriteFileRoundTrips) {
+  std::string path =
+      (tls::testutil::temp_dir() / "tls_export_test.csv").string();
+  std::string error;
+  ASSERT_TRUE(write_file(path, "a,b\n1,2\n", &error)) << error;
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), "a,b\n1,2\n");
+  std::remove(path.c_str());
+}
+
+TEST(Export, WriteFileFailureReported) {
+  std::string error;
+  EXPECT_FALSE(write_file("/nonexistent-dir-xyz/file.csv", "x", &error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(Export, WriteFileShortWriteReported) {
+  // /dev/full opens fine and fails the write itself with ENOSPC.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::string error;
+  EXPECT_FALSE(write_file("/dev/full", std::string(1 << 16, 'x'), &error));
+  EXPECT_NE(error.find("write to '/dev/full' failed"), std::string::npos)
+      << error;
 }
 
 }  // namespace

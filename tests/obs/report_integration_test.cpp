@@ -519,5 +519,26 @@ TEST(ReportCli, HelpAndErrors) {
   EXPECT_NE(no_value.err.find("--csv requires a value"), std::string::npos);
 }
 
+TEST(ReportCli, EqualsValueSpellingMatchesSeparateValue) {
+  const std::string& trace = shared_trace_csv(core::PolicyKind::kFifo, "fifo");
+  fs::path dir = tls::testutil::temp_dir() / "tls_report_cli_eq";
+  fs::create_directories(dir);
+  std::string spaced = (dir / "spaced.csv").string();
+  std::string joined = (dir / "joined.csv").string();
+  ASSERT_EQ(report_cli({trace, "--quiet", "--csv", spaced}).code, 0);
+  CliRun r = report_cli({trace, "--quiet", "--csv=" + joined});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(read_file(joined), read_file(spaced));
+}
+
+TEST(ReportCli, ShortWriteFails) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string& trace = shared_trace_csv(core::PolicyKind::kFifo, "fifo");
+  CliRun r = report_cli({trace, "--quiet", "--json", "/dev/full"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("write to '/dev/full' failed"), std::string::npos)
+      << r.err;
+}
+
 }  // namespace
 }  // namespace tls

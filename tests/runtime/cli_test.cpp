@@ -332,5 +332,89 @@ TEST(Cli, SweepBatchRuns) {
   EXPECT_NE(r.out.find("\n16,"), std::string::npos);
 }
 
+// Each command accepts only the flags it reads; a typo, a flag of another
+// command or a stray argument is a usage error naming it, not a silently
+// different experiment.
+TEST(Cli, MisspelledFlagRejected) {
+  CliRun r = cli({"run", SMALL, "--polcy", "fifo"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown flag --polcy"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--policy"), std::string::npos) << r.err;
+}
+
+TEST(Cli, FlagOfAnotherCommandRejected) {
+  CliRun compare = cli({"compare", SMALL, "--scenario-jobs", "5"});
+  EXPECT_EQ(compare.code, 2);
+  EXPECT_NE(compare.err.find("compare does not take --scenario-jobs"),
+            std::string::npos)
+      << compare.err;
+  CliRun scenario = cli({SMALL_SCENARIO, "--trace", "x.json"});
+  EXPECT_EQ(scenario.code, 2);
+  EXPECT_NE(scenario.err.find("does not take --trace"), std::string::npos)
+      << scenario.err;
+  CliRun replicas = cli({"compare", SMALL, "--replicas", "2"});
+  EXPECT_EQ(replicas.code, 2);
+  EXPECT_NE(replicas.err.find("--replicas"), std::string::npos)
+      << replicas.err;
+}
+
+TEST(Cli, CommandMustComeFirst) {
+  CliRun r = cli({"--csv", "run", SMALL});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown command '--csv'"), std::string::npos)
+      << r.err;
+}
+
+TEST(Cli, ValueFlagWithoutValueRejected) {
+  CliRun r = cli({"run", SMALL, "--report-json", "--csv"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--report-json requires a value"), std::string::npos)
+      << r.err;
+}
+
+TEST(Cli, SwitchGivenValueRejected) {
+  CliRun r = cli({"run", SMALL, "--background", "false"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unexpected argument 'false'"), std::string::npos)
+      << r.err;
+  CliRun eq = cli({"run", SMALL, "--background=false"});
+  EXPECT_EQ(eq.code, 2);
+  EXPECT_NE(eq.err.find("--background is a switch"), std::string::npos)
+      << eq.err;
+}
+
+TEST(Cli, MalformedReplicasRejected) {
+  for (const char* bad : {"2x", "abc"}) {
+    CliRun r = cli({"run", SMALL, "--policy", "fifo", "--replicas", bad});
+    EXPECT_EQ(r.code, 2) << bad;
+    EXPECT_NE(r.err.find("bad value for --replicas: '" + std::string(bad)),
+              std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, HelpListsFlagsFromTheTable) {
+  CliRun r = cli({"--help"});
+  EXPECT_EQ(r.code, 0);
+  for (const char* flag : {"--hosts N", "--cores N", "--replicas N",
+                           "--scenario-csv PATH", "--report-html PATH"}) {
+    EXPECT_NE(r.out.find(flag), std::string::npos) << flag;
+  }
+  EXPECT_EQ(cli({"help", "--csv"}).code, 2);
+}
+
+TEST(Cli, ArtifactWriteFailureExitsOne) {
+  CliRun run = cli({"run", SMALL, "--policy", "fifo", "--trace-csv",
+                    "/nonexistent-dir-xyz/t.csv"});
+  EXPECT_EQ(run.code, 1);
+  EXPECT_NE(run.err.find("trace CSV export failed"), std::string::npos)
+      << run.err;
+  CliRun compare =
+      cli({"compare", SMALL, "--report", "/nonexistent-dir-xyz/r.txt"});
+  EXPECT_EQ(compare.code, 1);
+  EXPECT_NE(compare.err.find("report export failed"), std::string::npos)
+      << compare.err;
+}
+
 }  // namespace
 }  // namespace tls::runtime

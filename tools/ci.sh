@@ -53,6 +53,20 @@ else
   echo "python3 not installed; skipping trace JSON well-formedness check"
 fi
 
+# Exit codes: a usage error is 2 and a failed artifact write is 1; neither
+# may abort (134) under ASan.
+expect_exit() {
+  local want=$1 got=0
+  shift
+  "$@" >/dev/null 2>&1 || got=$?
+  [ "$got" -eq "$want" ] || { echo "exit $got, want $want: $*"; exit 1; }
+}
+expect_exit 2 ./build-asan/tools/tlsim run --hosts 4 --jobs 4 --workers 3 \
+  --iters 2 --polcy fifo
+expect_exit 1 ./build-asan/tools/tlsim run --hosts 4 --jobs 4 --workers 3 \
+  --iters 2 --trace-csv /nonexistent-dir-xyz/t.csv
+expect_exit 0 ./build-asan/tools/tlsreport --help
+
 echo "==> [2d/4] tlsreport smoke: attribution report + diff under ASan"
 for pol in fifo tls-one; do
   ./build-asan/tools/tlsim run --hosts 3 --jobs 2 --workers 2 --iters 2 \
