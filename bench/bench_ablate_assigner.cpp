@@ -20,8 +20,10 @@ struct MixResult {
   double big_avg = 0;
 };
 
-MixResult run_mix(core::PolicyKind policy, core::AssignStrategy strategy,
-                  std::uint64_t seed) {
+/// Runs one mix simulation and counts it in `timing`.
+MixResult run_mix(bench::Timing& timing, core::PolicyKind policy,
+                  core::AssignStrategy strategy, std::uint64_t seed) {
+  timing.add_runs(1);
   sim::Simulator simulator(seed);
   net::FabricConfig fc;
   fc.num_hosts = 9;
@@ -74,7 +76,7 @@ MixResult run_mix(core::PolicyKind policy, core::AssignStrategy strategy,
 
 int main(int argc, char** argv) {
   // Drives a hand-built heterogeneous mix directly (no ExperimentConfig),
-  // so it picks up init()/Timing only.
+  // so run_all is not used; run_mix counts its own runs.
   bench::init(argc, argv);
   bench::Timing timing("ablate_assigner");
   bench::print_header(
@@ -83,7 +85,7 @@ int main(int argc, char** argv) {
       "model updates");
 
   std::uint64_t seed = bench::bench_seed();
-  MixResult fifo = run_mix(core::PolicyKind::kFifo,
+  MixResult fifo = run_mix(timing, core::PolicyKind::kFifo,
                            core::AssignStrategy::kArrivalOrder, seed);
 
   metrics::Table table({"strategy", "avg JCT (s)", "small-model avg",
@@ -94,7 +96,7 @@ int main(int argc, char** argv) {
   for (auto strategy : {core::AssignStrategy::kArrivalOrder,
                         core::AssignStrategy::kRandom,
                         core::AssignStrategy::kSmallestModelFirst}) {
-    MixResult r = run_mix(core::PolicyKind::kTlsOne, strategy, seed);
+    MixResult r = run_mix(timing, core::PolicyKind::kTlsOne, strategy, seed);
     table.add_row({core::to_string(strategy), metrics::fmt(r.avg_jct),
                    metrics::fmt(r.small_avg), metrics::fmt(r.big_avg),
                    metrics::fmt(r.avg_jct / fifo.avg_jct, 3)});

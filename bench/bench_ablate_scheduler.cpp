@@ -17,8 +17,10 @@ namespace {
 
 using namespace tls;
 
-double run_jct(cluster::SchedulerPolicy sched_policy,
+/// Runs one placement + policy simulation and counts it in `timing`.
+double run_jct(bench::Timing& timing, cluster::SchedulerPolicy sched_policy,
                core::PolicyKind net_policy, int* max_colocation) {
+  timing.add_runs(1);
   sim::Simulator simulator(bench::bench_seed());
   net::FabricConfig fc;
   fc.num_hosts = 21;
@@ -55,8 +57,8 @@ double run_jct(cluster::SchedulerPolicy sched_policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Drives the online scheduler directly (no ExperimentConfig), so it
-  // picks up init()/Timing only.
+  // Drives the online scheduler directly (no ExperimentConfig), so run_all
+  // is not used; run_jct counts its own runs.
   bench::init(argc, argv);
   bench::Timing timing("ablate_scheduler");
   bench::print_header(
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
                      cluster::SchedulerPolicy::kPsAware}) {
     for (auto net : {core::PolicyKind::kFifo, core::PolicyKind::kTlsRR}) {
       int coloc = 0;
-      double jct = run_jct(sched, net, &coloc);
+      double jct = run_jct(timing, sched, net, &coloc);
       table.add_row({cluster::to_string(sched), std::to_string(coloc),
                      core::to_string(net), metrics::fmt(jct)});
     }

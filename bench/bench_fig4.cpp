@@ -22,9 +22,12 @@ struct BurstResult {
   double job_last[2] = {0, 0};
 };
 
-/// Runs one two-job burst with the given tc setup applied beforehand.
-BurstResult run_burst(const std::vector<std::string>& tc_commands,
+/// Runs one two-job burst with the given tc setup applied beforehand and
+/// counts it in `timing`.
+BurstResult run_burst(bench::Timing& timing,
+                      const std::vector<std::string>& tc_commands,
                       sim::Time second_job_offset = sim::Time{0}) {
+  timing.add_runs(1);
   sim::Simulator simulator(7);
   net::FabricConfig fc;
   fc.num_hosts = 5;
@@ -76,8 +79,8 @@ void print_result(const char* name, const BurstResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // This bench drives the fabric directly (no ExperimentConfig), so it
-  // only picks up init()/Timing — there is nothing for run_all to fan out.
+  // This bench drives the fabric directly (no ExperimentConfig), so there
+  // is nothing for run_all to fan out; run_burst counts its own runs.
   bench::init(argc, argv);
   bench::Timing timing("fig4");
   bench::print_header(
@@ -86,7 +89,7 @@ int main(int argc, char** argv) {
       "lets job0 finish at half time while job1 still ends at the same time");
 
   // (b) FIFO: default pfifo, no tc configuration.
-  print_result("(b) FIFO", run_burst({}));
+  print_result("(b) FIFO", run_burst(timing, {}));
 
   // (c) TLs-One: htb with two classes, job0 at prio 0, job1 at prio 1.
   std::vector<std::string> tls_one = {
@@ -97,7 +100,7 @@ int main(int argc, char** argv) {
       "tc filter add dev host0 parent 1: pref 1000 u32 match ip sport 5000 0xffff flowid 1:1",
       "tc filter add dev host0 parent 1: pref 1001 u32 match ip sport 5100 0xffff flowid 1:2",
   };
-  print_result("(c) TLs-One", run_burst(tls_one));
+  print_result("(c) TLs-One", run_burst(timing, tls_one));
 
   // (d) TLs-RR after one rotation: the assignment is swapped.
   std::vector<std::string> tls_rr = tls_one;
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
       "tc filter add dev host0 parent 1: pref 1000 u32 match ip sport 5000 0xffff flowid 1:2";
   tls_rr[5] =
       "tc filter add dev host0 parent 1: pref 1001 u32 match ip sport 5100 0xffff flowid 1:1";
-  print_result("(d) TLs-RR (T..2T)", run_burst(tls_rr));
+  print_result("(d) TLs-RR (T..2T)", run_burst(timing, tls_rr));
 
   std::printf(
       "Reading: under FIFO both jobs' last workers finish together at the\n"

@@ -1,12 +1,12 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "simcore/check.hpp"
 
 namespace tls::net {
 
@@ -97,7 +97,7 @@ FlowId Fabric::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
       (flow.wire_bytes + config_.chunk_size - Bytes{1}) / config_.chunk_size);
   flow.start = sim_.now();
   auto [it, inserted] = flows_.emplace(id, std::move(flow));
-  assert(inserted);
+  TLS_CHECK(inserted, "flow id ", id, " started twice");
   admit(id, it->second);
   return id;
 }
@@ -123,13 +123,21 @@ void Fabric::admit(FlowId id, FlowState& flow) {
 void Fabric::on_transmit(HostId /*src*/, const Chunk& chunk) {
   // Switch traversal; the switch itself is non-blocking, so the only
   // contention on the receive path is the destination ingress drain.
-  sim_.schedule_after(config_.switch_latency,
-                      [this, chunk] { ingress(chunk.dst).arrive(chunk); });
+  in_switch_.push_back(chunk, /*stamp=*/sim_.now() + config_.switch_latency);
+  sim_.schedule_after(config_.switch_latency, [this] { switch_arrive(); });
+}
+
+void Fabric::switch_arrive() {
+  TLS_CHECK(!in_switch_.empty() && in_switch_.front_stamp() == sim_.now(),
+            "switch traversal out of order at ", sim_.now());
+  Chunk chunk = in_switch_.take_front();
+  ingress(chunk.dst).arrive(chunk);
 }
 
 void Fabric::on_delivered(const Chunk& chunk) {
   auto it = flows_.find(chunk.flow);
-  assert(it != flows_.end());
+  TLS_CHECK(it != flows_.end(), "delivered chunk ", chunk.index,
+            " of unknown flow ", chunk.flow);
   FlowState& flow = it->second;
   ++flow.delivered_chunks;
   if (flow.delivered_chunks == flow.chunks_total) {

@@ -94,6 +94,9 @@ class Fabric {
 
   void admit(FlowId id, FlowState& flow);
   void on_transmit(HostId src, const Chunk& chunk);
+  /// Switch-traversal handler: hands the front of `in_switch_` to its
+  /// destination ingress port.
+  void switch_arrive();
   void on_delivered(const Chunk& chunk);
   Bytes chunk_bytes(const FlowState& flow, std::uint32_t index) const;
 
@@ -102,6 +105,11 @@ class Fabric {
   sim::Rng rng_;
   std::vector<std::unique_ptr<EgressPort>> egress_;
   std::vector<std::unique_ptr<IngressPort>> ingress_;
+  // Chunks traversing the switch, each stamped with its due arrival time.
+  // switch_latency is constant and equal-time events fire in scheduling
+  // order, so arrivals pop in push order; holding the chunks here lets the
+  // traversal event capture only `this`.
+  ChunkRing in_switch_;
   std::unordered_map<FlowId, FlowState> flows_;
   FlowId next_flow_id_ = 1;
   std::uint64_t completed_flows_ = 0;

@@ -89,8 +89,9 @@ void EgressPort::start_transmit(const Chunk& chunk) {
                                  sim_.now() - chunk.enqueued_at);
   }
   in_flight_bytes_ += chunk.size;
+  on_wire_ = chunk;
   sim_.schedule_after(transmit_time(chunk.size, rate_),
-                      [this, chunk] { finish_transmit(chunk); });
+                      [this] { finish_transmit(); });
 }
 
 void EgressPort::kick() {
@@ -134,7 +135,10 @@ void EgressPort::set_host(HostId host) {
   qdisc_->set_obs(sim_.tracer(), host_);
 }
 
-void EgressPort::finish_transmit(const Chunk& chunk) {
+void EgressPort::finish_transmit() {
+  // Copy out: the callback or kick() may start the next transmission,
+  // which overwrites on_wire_.
+  const Chunk chunk = on_wire_;
   busy_ = false;
   counters_.bytes += chunk.size;
   ++counters_.chunks;
@@ -179,25 +183,30 @@ void IngressPort::serve_next() {
     return;
   }
   busy_ = true;
-  sim::Time arrived_at = queue_.front_stamp();
-  Chunk chunk = queue_.take_front();
-  backlog_bytes_ -= chunk.size;
+  in_service_arrived_at_ = queue_.front_stamp();
+  in_service_ = queue_.take_front();
+  backlog_bytes_ -= in_service_.size;
   TLS_CHECK(backlog_bytes_ >= Bytes{0}, "ingress backlog went negative: ",
             backlog_bytes_);
-  sim::Time wait = sim_.now() - arrived_at;
-  sim_.schedule_after(transmit_time(chunk.size, rate_),
-                      [this, chunk, arrived_at, wait] {
-    counters_.bytes += chunk.size;
-    ++counters_.chunks;
-    if (TLS_OBS_ACTIVE(sim_.tracer())) {
-      sim_.tracer()->ingress_deliver(sim_.now(), host_, chunk.job, chunk.band,
-                                     static_cast<std::int64_t>(chunk.flow),
-                                     chunk.index, chunk.size, wait,
-                                     sim_.now() - arrived_at);
-    }
-    on_delivered_(chunk);
-    serve_next();
-  });
+  in_service_wait_ = sim_.now() - in_service_arrived_at_;
+  sim_.schedule_after(transmit_time(in_service_.size, rate_),
+                      [this] { finish_delivery(); });
+}
+
+void IngressPort::finish_delivery() {
+  // Copy out: the callback or serve_next() may start the next service,
+  // which overwrites in_service_.
+  const Chunk chunk = in_service_;
+  counters_.bytes += chunk.size;
+  ++counters_.chunks;
+  if (TLS_OBS_ACTIVE(sim_.tracer())) {
+    sim_.tracer()->ingress_deliver(sim_.now(), host_, chunk.job, chunk.band,
+                                   static_cast<std::int64_t>(chunk.flow),
+                                   chunk.index, chunk.size, in_service_wait_,
+                                   sim_.now() - in_service_arrived_at_);
+  }
+  on_delivered_(chunk);
+  serve_next();
 }
 
 }  // namespace tls::net

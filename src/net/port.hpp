@@ -77,7 +77,8 @@ class EgressPort {
   // the port dequeues, so a qdisc swap never migrates a long staged tail.
   static constexpr std::size_t kStageBatch = 64;
 
-  void finish_transmit(const Chunk& chunk);
+  /// Serialization-done handler for the chunk held in `on_wire_`.
+  void finish_transmit();
   /// Puts `chunk` on the wire now. Single point through which both the
   /// staged fast path and the poll path start a transmission.
   void start_transmit(const Chunk& chunk);
@@ -93,6 +94,10 @@ class EgressPort {
   std::unique_ptr<Qdisc> qdisc_;
   Classifier classifier_;
   bool busy_ = false;
+  // The chunk being serialized (meaningful while busy_). The port holds it
+  // so the completion event captures only `this` and fits the callback's
+  // inline storage instead of allocating per chunk.
+  Chunk on_wire_;
   bool retry_armed_ = false;
   sim::EventId retry_event_{};
   PortCounters counters_;
@@ -136,6 +141,8 @@ class IngressPort {
 
  private:
   void serve_next();
+  /// Delivery-done handler for the chunk held in `in_service_`.
+  void finish_delivery();
 
   sim::Simulator& sim_;
   HostId host_ = kNoHost;
@@ -147,6 +154,12 @@ class IngressPort {
   ChunkRing queue_;
   Bytes backlog_bytes_{};
   bool busy_ = false;
+  // The chunk being drained (meaningful while busy_), with its arrival
+  // instant and fan-in wait; held here, like EgressPort::on_wire_, so the
+  // delivery event captures only `this`.
+  Chunk in_service_;
+  sim::Time in_service_arrived_at_{};
+  sim::Time in_service_wait_{};
   PortCounters counters_;
 };
 

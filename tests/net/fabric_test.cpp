@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
+
+#include "obs/trace.hpp"
 
 namespace tls::net {
 namespace {
@@ -233,6 +237,78 @@ TEST(Fabric, ByteConservationEgressEqualsIngress) {
   }
   EXPECT_EQ(tx, rx);
   EXPECT_GT(tx, tls::net::Bytes{0});
+}
+
+TEST(Fabric, SimultaneousTransmitsReachIngressInTransmitOrder) {
+  // Three sources send three full chunks each to one destination, so every
+  // egress port finishes a chunk at the same instants S, 2S, 3S. The switch
+  // must hand the chunks to the ingress FIFO in transmit order (the order
+  // of the chunk_dequeue events, which is the order their serializations
+  // complete), and the ingress, saturated from the first arrival on, must
+  // deliver chunk j of that order at S + L + (j+1)*S.
+  for (sim::Time latency : {sim::Time{0}, FabricConfig{}.switch_latency}) {
+    SCOPED_TRACE(testing::Message() << "switch_latency=" << latency);
+    sim::Simulator s(1);
+    obs::Tracer tracer;
+    s.set_tracer(&tracer);
+    FabricConfig c = ideal(4);
+    c.switch_latency = latency;
+    Fabric fab(s, c);
+    const HostId dst{3};
+    for (int src = 0; src < 3; ++src) {
+      FlowSpec f;
+      f.src = HostId{src};
+      f.dst = dst;
+      f.bytes = 3 * c.chunk_size;
+      fab.start_flow(f, [](const FlowRecord&) {});
+    }
+    s.run();
+
+    using Key = std::pair<std::int64_t, std::int64_t>;  // (flow, index)
+    std::vector<Key> transmitted, arrived, delivered;
+    std::vector<sim::Time> transmit_done, arrive_at, deliver_at, wait,
+        residence;
+    const sim::Time serialize = transmit_time(c.chunk_size, c.link_rate);
+    for (const obs::TraceEvent& e : tracer.events()) {
+      Key key{e.flow, e.b};
+      switch (e.kind) {
+        case obs::EventKind::kChunkDequeue:
+          transmitted.push_back(key);
+          transmit_done.push_back(e.at + serialize);
+          break;
+        case obs::EventKind::kIngressArrive:
+          arrived.push_back(key);
+          arrive_at.push_back(e.at);
+          break;
+        case obs::EventKind::kIngressDeliver:
+          delivered.push_back(key);
+          deliver_at.push_back(e.at);
+          wait.push_back(sim::from_nanos(e.a));
+          residence.push_back(e.dur);
+          break;
+        default:
+          break;
+      }
+    }
+    ASSERT_EQ(transmitted.size(), 9u);
+    // Sources finish in lockstep: chunks j = 3k..3k+2 all complete at
+    // (k+1)*S, so the order among them is the scheduling order alone.
+    for (std::size_t j = 0; j < 9; ++j) {
+      EXPECT_EQ(transmit_done[j], serialize * static_cast<std::int64_t>(j / 3 + 1));
+    }
+    EXPECT_EQ(arrived, transmitted);
+    EXPECT_EQ(delivered, transmitted);
+    ASSERT_EQ(deliver_at.size(), 9u);
+    for (std::size_t j = 0; j < 9; ++j) {
+      EXPECT_EQ(arrive_at[j], transmit_done[j] + latency);
+      EXPECT_EQ(deliver_at[j],
+                serialize + latency + serialize * static_cast<std::int64_t>(j + 1));
+      // The delivery record carries the chunk's own fan-in timing.
+      EXPECT_EQ(residence[j], deliver_at[j] - arrive_at[j]);
+      EXPECT_EQ(wait[j], residence[j] - serialize);
+    }
+    EXPECT_EQ(fab.completed_flows(), 3u);
+  }
 }
 
 }  // namespace

@@ -193,6 +193,18 @@ cmake --build --preset debug-asan -j "$jobs" --target bench_diff
 ./build-asan/tools/bench_diff . "$smoke_dir" --max-regress-pct 15 \
   || echo "bench_diff: regression worse than 15% (non-fatal; see table above)"
 
+echo "==> [2h/4] perfbench selftest: rebuilt stack reproduces the entry points"
+# Builds perfbench_driver (RelWithDebInfo, into $CARGO_TARGET_DIR or
+# .bench_build/) and runs every workload at tiny size: each must pass its
+# output checks, including the bit-for-bit match between the entry point
+# and the stack rebuilt from public APIs, and a corrupted expectation must
+# be counted as a failure.
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/selftest.py
+else
+  echo "python3 not installed; skipping perfbench selftest"
+fi
+
 echo "==> [3/4] debug-tsan: tls::runtime pool/runner under ThreadSanitizer"
 cmake --preset debug-tsan
 cmake --build --preset debug-tsan -j "$jobs" --target test_runtime
