@@ -1,11 +1,14 @@
-// Simulator-core microbenchmark: the program's EventQueue (a heap of slim
-// (time, seq, slot) keys with callbacks in a slot table) against the seed
+// Simulator-core microbenchmark: the program's EventQueue (a 4-ary heap of
+// 16-byte (time, tag) keys with callbacks in a slot table) against the seed
 // binary-heap queue, plus a 1000-host synthetic fabric drain exercising the
 // SoA chunk rings and the fast-forward lane.
 //
 // The seed queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its
-// O(n) cancel scan, which the slot table's O(1) cancel removes.
+// O(n) cancel scan, which the slot table's O(1) cancel removes. Each mix
+// runs as kReps interleaved queue/seed-heap pairs, alternating which side
+// goes first, and reports the median and min–max of each side, so host
+// noise shows as spread instead of flipping the ratio.
 //
 // Knobs:
 //   TLS_BENCH_SIMCORE_OPS   reference op count per queue mix (default 20000;
@@ -208,6 +211,52 @@ MixResult run_mixed_horizon(std::size_t n) {
   return r;
 }
 
+constexpr int kReps = 9;
+
+/// Median and range of one side's events/sec over kReps runs.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread(std::vector<double> eps) {
+  std::sort(eps.begin(), eps.end());
+  return {eps[eps.size() / 2], eps.front(), eps.back()};
+}
+
+struct MixRow {
+  const char* name;
+  Spread queue;
+  Spread seed_heap;
+  double speedup() const {
+    return seed_heap.median > 0 ? queue.median / seed_heap.median : 0.0;
+  }
+};
+
+using MixFn = MixResult (*)(std::size_t);
+
+/// Runs `queue` and `seed_heap` as kReps interleaved pairs, alternating
+/// which goes first so drift on the host falls on both sides alike.
+MixRow measure(const char* name, MixFn queue, MixFn seed_heap,
+               std::size_t ops) {
+  std::vector<double> queue_eps;
+  std::vector<double> seed_eps;
+  for (int rep = 0; rep < kReps; ++rep) {
+    if (rep % 2 == 0) queue_eps.push_back(queue(ops).events_per_sec());
+    seed_eps.push_back(seed_heap(ops).events_per_sec());
+    if (rep % 2 == 1) queue_eps.push_back(queue(ops).events_per_sec());
+  }
+  MixRow row{name, spread(queue_eps), spread(seed_eps)};
+  std::printf(
+      "%-14s  queue %11.0f ev/s [%.0f-%.0f]   seed heap %11.0f ev/s "
+      "[%.0f-%.0f]   %5.2fx\n",
+      name, row.queue.median, row.queue.min, row.queue.max,
+      row.seed_heap.median, row.seed_heap.min, row.seed_heap.max,
+      row.speedup());
+  return row;
+}
+
 struct DrainResult {
   int hosts = 0;
   std::uint64_t flows = 0;
@@ -259,56 +308,42 @@ DrainResult run_drain(int hosts, tls::net::Bytes bytes_per_flow) {
   return r;
 }
 
-void write_json(std::size_t ops, const MixResult& fifo_new,
-                const MixResult& fifo_old, const MixResult& cancel_new,
-                const MixResult& cancel_old, const MixResult& mixed_new,
-                const MixResult& mixed_old, const DrainResult& drain,
-                double total_wall_s) {
+void write_json(std::size_t ops, const std::vector<MixRow>& mixes,
+                const DrainResult& drain, double total_wall_s) {
   const char* dir = std::getenv("TLS_BENCH_JSON_DIR");
   std::string path = std::string(dir != nullptr && *dir != '\0' ? dir : ".") +
                      "/BENCH_simcore.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return;  // timing is best-effort, never fails a bench
-  auto ratio = [](const MixResult& a, const MixResult& b) {
-    return b.events_per_sec() > 0 ? a.events_per_sec() / b.events_per_sec()
-                                  : 0.0;
-  };
+  std::fprintf(f,
+               "{\n"
+               "  \"bench\": \"simcore\",\n"
+               "  \"wall_s\": %.6f,\n"
+               "  \"iters\": %lld,\n"
+               "  \"ref_ops\": %llu,\n"
+               "  \"reps\": %d,\n",
+               total_wall_s, static_cast<long long>(tls::bench::bench_iters()),
+               static_cast<unsigned long long>(ops), kReps);
+  for (const MixRow& m : mixes) {
+    std::fprintf(f,
+                 "  \"%s\": {\"queue_eps_median\": %.0f, "
+                 "\"queue_eps_min\": %.0f, \"queue_eps_max\": %.0f, "
+                 "\"seed_heap_eps_median\": %.0f, "
+                 "\"seed_heap_eps_min\": %.0f, \"seed_heap_eps_max\": %.0f, "
+                 "\"speedup\": %.2f},\n",
+                 m.name, m.queue.median, m.queue.min, m.queue.max,
+                 m.seed_heap.median, m.seed_heap.min, m.seed_heap.max,
+                 m.speedup());
+  }
   std::fprintf(
       f,
-      "{\n"
-      "  \"bench\": \"simcore\",\n"
-      "  \"wall_s\": %.6f,\n"
-      "  \"iters\": %lld,\n"
-      "  \"ref_ops\": %llu,\n"
-      "  \"fifo_mix\": {\"queue_eps\": %.0f, \"seed_heap_eps\": %.0f, "
-      "\"speedup\": %.2f},\n"
-      "  \"cancel_heavy\": {\"queue_eps\": %.0f, \"seed_heap_eps\": %.0f, "
-      "\"speedup\": %.2f},\n"
-      "  \"mixed_horizon\": {\"queue_eps\": %.0f, \"seed_heap_eps\": %.0f, "
-      "\"speedup\": %.2f},\n"
       "  \"drain\": {\"hosts\": %d, \"flows\": %llu, \"sim_events\": %llu,\n"
       "            \"events_per_sec\": %.0f, \"ff_hit_rate\": %.4f}\n"
       "}\n",
-      total_wall_s, static_cast<long long>(tls::bench::bench_iters()),
-      static_cast<unsigned long long>(ops), fifo_new.events_per_sec(),
-      fifo_old.events_per_sec(), ratio(fifo_new, fifo_old),
-      cancel_new.events_per_sec(), cancel_old.events_per_sec(),
-      ratio(cancel_new, cancel_old), mixed_new.events_per_sec(),
-      mixed_old.events_per_sec(), ratio(mixed_new, mixed_old), drain.hosts,
-      static_cast<unsigned long long>(drain.flows),
+      drain.hosts, static_cast<unsigned long long>(drain.flows),
       static_cast<unsigned long long>(drain.sim_events), drain.events_per_sec,
       drain.ff_hit_rate);
   std::fclose(f);
-}
-
-void print_mix(const char* name, const MixResult& queue,
-               const MixResult& seed_heap) {
-  double speedup = seed_heap.events_per_sec() > 0
-                       ? queue.events_per_sec() / seed_heap.events_per_sec()
-                       : 0.0;
-  std::printf("%-14s  queue %12.0f ev/s   seed heap %12.0f ev/s   %7.1fx\n",
-              name, queue.events_per_sec(), seed_heap.events_per_sec(),
-              speedup);
 }
 
 }  // namespace
@@ -323,17 +358,19 @@ int main(int argc, char** argv) {
       tls::bench::env_long("TLS_BENCH_SIMCORE_OPS", 20000));
   double t0 = now_s();
 
-  std::printf("Queue mixes (%llu reference ops each):\n",
-              static_cast<unsigned long long>(ops));
-  MixResult fifo_new = run_fifo_mix<tls::sim::EventQueue>(ops);
-  MixResult fifo_old = run_fifo_mix<legacy::EventQueue>(ops);
-  print_mix("fifo", fifo_new, fifo_old);
-  MixResult cancel_new = run_cancel_heavy<tls::sim::EventQueue>(ops);
-  MixResult cancel_old = run_cancel_heavy<legacy::EventQueue>(ops);
-  print_mix("cancel-heavy", cancel_new, cancel_old);
-  MixResult mixed_new = run_mixed_horizon<tls::sim::EventQueue>(ops);
-  MixResult mixed_old = run_mixed_horizon<legacy::EventQueue>(ops);
-  print_mix("mixed-horizon", mixed_new, mixed_old);
+  std::printf(
+      "Queue mixes (%llu reference ops each; median [min-max] of %d "
+      "interleaved pairs):\n",
+      static_cast<unsigned long long>(ops), kReps);
+  using Queue = tls::sim::EventQueue;
+  using Seed = legacy::EventQueue;
+  std::vector<MixRow> mixes = {
+      measure("fifo_mix", run_fifo_mix<Queue>, run_fifo_mix<Seed>, ops),
+      measure("cancel_heavy", run_cancel_heavy<Queue>, run_cancel_heavy<Seed>,
+              ops),
+      measure("mixed_horizon", run_mixed_horizon<Queue>,
+              run_mixed_horizon<Seed>, ops),
+  };
 
   // Fabric drain: 1000 hosts, one flow each, scaled by --iters.
   int hosts = static_cast<int>(tls::bench::env_long("TLS_BENCH_SIMCORE_HOSTS",
@@ -349,8 +386,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(drain.sim_events), drain.wall_s,
       drain.events_per_sec, 100.0 * drain.ff_hit_rate);
 
-  write_json(ops, fifo_new, fifo_old, cancel_new, cancel_old, mixed_new,
-             mixed_old, drain, now_s() - t0);
+  write_json(ops, mixes, drain, now_s() - t0);
 
   bool ok = drain.flows == static_cast<std::uint64_t>(drain.hosts);
   std::printf("\n%s\n", ok ? "DRAIN-COMPLETE" : "DRAIN-INCOMPLETE");

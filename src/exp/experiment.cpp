@@ -238,6 +238,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     add("eventq_cancelled", qs.cancelled);
     add("eventq_popped", qs.popped);
     add("eventq_tombstones_skipped", qs.tombstones_skipped);
+    add("eventq_peak_pending", qs.peak_pending);
     std::uint64_t promotions = 0;
     std::uint64_t polls = 0;
     for (net::HostId h{0}; h < net::HostId{config.num_hosts}; ++h) {

@@ -1,16 +1,17 @@
 // Pending-event set for the discrete-event simulator.
 //
-// A binary min-heap keyed on (time, sequence number). The sequence number
+// A 4-ary min-heap keyed on (time, sequence number). The sequence number
 // makes ordering of simultaneous events deterministic (FIFO by scheduling
 // order), which in turn makes whole experiments reproducible.
 //
-// The heap holds only slim (at, seq, slot) keys; each callback lives in a
-// slot table entry that also records the seq currently occupying it, and
-// freed slots are recycled through a free list. cancel() is O(1): it frees
-// the slot and drops the callback. A key whose slot no longer holds its
-// seq is a tombstone and is discarded when it reaches the top of the heap.
-// Sequence numbers are never reused, so a handle can never match a later
-// occupant of its slot.
+// The heap holds only 16-byte (at, seq << 24 | slot) keys: seqs are unique
+// and fill the high bits, so key order is (at, seq) order. Each callback
+// lives in a slot table entry that also records the seq occupying it; freed
+// slots are recycled through a free list. cancel() is O(1): it frees the
+// slot and drops the callback. A key whose slot no longer holds its seq is
+// a tombstone, discarded when it reaches the top of the heap. Sequence
+// numbers are never reused, so a handle can never match a later occupant
+// of its slot.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,7 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Binary heap of timed callbacks with stable ordering and O(1)
+/// 4-ary heap of timed callbacks with stable ordering and O(1)
 /// cancellation.
 class EventQueue {
  public:
@@ -43,6 +44,8 @@ class EventQueue {
     std::uint64_t popped = 0;
     /// Cancelled keys discarded on reaching the top of the heap.
     std::uint64_t tombstones_skipped = 0;
+    /// Largest heap length seen, tombstones included.
+    std::uint64_t peak_pending = 0;
     /// Always 0: the heap has no tiers to migrate between. Kept because
     /// perfbench/stack.cpp still reads them.
     std::uint64_t overflow_pulls = 0;
@@ -83,23 +86,32 @@ class EventQueue {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Heap entry: `tag` packs the event's seq above its 24-bit slot index.
   struct Key {
     Time at;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t tag;
   };
+  static_assert(sizeof(Key) == 16, "four keys per 64-byte cache line");
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = 1ull << (64 - kSlotBits);
   /// A live slot holds the seq of its event; 0 marks a free slot.
   struct Slot {
     std::uint64_t seq = 0;
     Callback cb;
   };
 
-  /// Heap order for std::push_heap/pop_heap: the root is the smallest
-  /// (at, seq). seq is unique, so the order is strict and total.
-  static bool later(const Key& a, const Key& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  /// Heap order, smallest (at, tag) at the root; strict, as tags are unique.
+  static bool before(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.tag < b.tag;
   }
-  bool live(const Key& k) const { return slots_[k.slot].seq == k.seq; }
+  bool live(const Key& k) const {
+    return slots_[k.tag & kSlotMask].seq == k.tag >> kSlotBits;
+  }
+  /// Fill hole `i` with `k`, moving the hole up or down to keep heap order.
+  void sift_up(std::size_t i, Key k);
+  void sift_down(std::size_t i, Key k);
+  void drop_root();
   /// Pops tombstones until the root is live. Requires !empty().
   void skip_tombstones();
   /// Frees `slot` and returns its callback.

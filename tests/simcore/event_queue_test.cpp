@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <set>
@@ -18,6 +19,58 @@ struct Lcg {
     s = s * 6364136223846793005ull + 1442695040888963407ull;
     return s >> 33;
   }
+};
+
+/// Differential-test harness: a real EventQueue mirrored by a trivially
+/// correct reference, an ordered set of (time, token) pairs. Every
+/// operation checks that the two agree: cancel return values, pop order
+/// and peek_time.
+class RefModel {
+ public:
+  void schedule(Time t) {
+    std::size_t token = all_.size();
+    all_.push_back({t, true, q_.schedule(t, [this, token] {
+                      fired_token_ = token;
+                    })});
+    pending_.insert({t, token});
+  }
+  void cancel(std::size_t token) {
+    Ref& ref = all_[token];
+    EXPECT_EQ(q_.cancel(ref.id), ref.live) << "token " << token;
+    if (ref.live) {
+      ref.live = false;
+      pending_.erase({ref.at, token});
+    }
+  }
+  void pop() {
+    auto it = pending_.begin();
+    ASSERT_EQ(q_.peek_time(), it->first);
+    fired_token_ = all_.size();
+    auto [t, cb] = q_.pop();
+    cb();
+    ASSERT_EQ(t, it->first);
+    ASSERT_EQ(fired_token_, it->second);
+    all_[it->second].live = false;
+    horizon_ = t;
+    pending_.erase(it);
+  }
+  std::size_t pending() const { return pending_.size(); }
+  std::size_t issued() const { return all_.size(); }
+  /// Time of the last pop.
+  Time horizon() const { return horizon_; }
+  const EventQueue& queue() const { return q_; }
+
+ private:
+  struct Ref {
+    Time at;
+    bool live;
+    EventId id;
+  };
+  EventQueue q_;
+  std::vector<Ref> all_;
+  std::set<std::pair<Time, std::size_t>> pending_;
+  std::size_t fired_token_ = 0;
+  Time horizon_ = Time{0};
 };
 
 TEST(EventQueue, StartsEmpty) {
@@ -200,14 +253,14 @@ TEST(EventQueue, StatsCountActivity) {
   EXPECT_EQ(q.stats().scheduled, 3u);
   EXPECT_EQ(q.stats().cancelled, 1u);
   EXPECT_EQ(q.stats().popped, 2u);
+  EXPECT_EQ(q.stats().peak_pending, 3u);  // the cancelled key counts
 }
 
 TEST(EventQueue, EqualTimesFireInSchedulingOrderAcrossBucketBoundaries) {
-  // Property: simultaneous events fire in scheduling order no matter where
-  // their time lands in the calendar geometry. The times here are aligned
-  // to multiples of 4096 (the default bucket width) out to ~2^26, so they
-  // sit exactly on bucket edges, far beyond the initial window (forcing
-  // overflow-tier migration and window re-anchoring), and collide freely.
+  // Property: simultaneous events fire in scheduling order however many
+  // of them pile onto one time. The times here are multiples of 4096 out
+  // to ~2^26 drawn from only 16384 values, so 1000 events collide freely
+  // and each tie group is spread across the levels of a deep heap.
   EventQueue q;
   Lcg rng{12345};
   std::vector<std::pair<Time, int>> fired;
@@ -234,110 +287,99 @@ TEST(EventQueue, EqualTimesFireInSchedulingOrderAcrossBucketBoundaries) {
 }
 
 TEST(EventQueue, MatchesReferenceModelUnderRandomMix) {
-  // Differential test against a trivially-correct reference: an ordered
-  // set of (time, token) pairs. Every schedule/cancel/pop result — cancel
-  // return values, pop order, peek_time, size — must agree exactly.
-  EventQueue q;
+  RefModel ref;
   Lcg rng{99};
-  struct Ref {
-    Time at;
-    bool live;
-    EventId id;
-  };
-  std::vector<Ref> all;
-  std::set<std::pair<Time, std::size_t>> pending;
-  std::size_t fired_token = 0;
-  bool fired_flag = false;
-  Time horizon = tls::sim::Time{0};
   for (int op = 0; op < 20000; ++op) {
     std::uint64_t r = rng.next() % 100;
-    if (r < 50 || pending.empty()) {
-      Time t = horizon + static_cast<Time>(rng.next() % (1u << 20));
-      std::size_t token = all.size();
-      EventId id = q.schedule(t, [&fired_flag, &fired_token, token] {
-        fired_flag = true;
-        fired_token = token;
-      });
-      all.push_back({t, true, id});
-      pending.insert({t, token});
+    if (r < 50 || ref.pending() == 0) {
+      ref.schedule(ref.horizon() + static_cast<Time>(rng.next() % (1u << 20)));
     } else if (r < 75) {
-      std::size_t token = rng.next() % all.size();
-      bool expect = all[token].live;
-      EXPECT_EQ(q.cancel(all[token].id), expect);
-      if (expect) {
-        all[token].live = false;
-        pending.erase({all[token].at, token});
-      }
+      ref.cancel(rng.next() % ref.issued());
     } else {
-      auto it = pending.begin();
-      ASSERT_EQ(q.peek_time(), it->first);
-      fired_flag = false;
-      auto [t, cb] = q.pop();
-      cb();
-      ASSERT_TRUE(fired_flag);
-      ASSERT_EQ(t, it->first);
-      ASSERT_EQ(fired_token, it->second);
-      all[it->second].live = false;
-      horizon = t;
-      pending.erase(it);
+      ASSERT_NO_FATAL_FAILURE(ref.pop());
     }
-    ASSERT_EQ(q.size(), pending.size());
+    ASSERT_EQ(ref.queue().size(), ref.pending());
+  }
+}
+
+TEST(EventQueue, MatchesReferenceModelWithStandingSet) {
+  // The paper workloads keep about 300 events pending: near-future
+  // transmit timers beside far-future compute timers, some cancelled
+  // before they fire. Refill to 300 after every pop or cancel, on a coarse
+  // time grid so equal-time keys meet at every level of the heap.
+  RefModel ref;
+  Lcg rng{301};
+  for (int op = 0; op < 20000; ++op) {
+    if (ref.pending() < 300) {
+      Time delay = rng.next() % 4 == 0
+                       ? static_cast<Time>(rng.next() % 64) * 1'000'000
+                       : static_cast<Time>(rng.next() % 16) * 1'000;
+      ref.schedule(ref.horizon() + delay);
+    } else if (rng.next() % 4 == 0) {
+      // Recent handles: mostly still pending, some already fired.
+      std::size_t back = rng.next() % std::min<std::size_t>(ref.issued(), 600);
+      ref.cancel(ref.issued() - 1 - back);
+    } else {
+      ASSERT_NO_FATAL_FAILURE(ref.pop());
+    }
+    ASSERT_EQ(ref.queue().size(), ref.pending());
+  }
+  EXPECT_GT(ref.queue().stats().cancelled, 500u);
+  EXPECT_GE(ref.queue().stats().peak_pending, 300u);
+}
+
+TEST(EventQueue, EqualTimesFireInSeqOrderWhenSlotOrderDisagrees) {
+  // Keys order by (time, seq << 24 | slot). Reusing freed slots in reverse
+  // hands later seqs lower slots, so only the seq bits can order these
+  // equal-time events. The sizes straddle the 4-ary heap's level
+  // boundaries (1, 5, 21, 85 keys fill whole levels).
+  for (std::size_t n : {1u, 4u, 5u, 21u, 85u, 300u}) {
+    EventQueue q;
+    for (std::size_t i = 0; i < n; ++i) q.schedule(Time{1}, [] {});
+    while (!q.empty()) q.pop();  // frees slots 0..n-1 in that order
+    std::vector<std::size_t> fired;
+    std::uint32_t prev_slot = static_cast<std::uint32_t>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EventId id = q.schedule(Time{42}, [&fired, i] { fired.push_back(i); });
+      ASSERT_LT(id.slot, prev_slot) << "slots should be reused high first";
+      prev_slot = id.slot;
+    }
+    EXPECT_EQ(q.stats().peak_pending, n);
+    while (!q.empty()) q.pop().second();
+    ASSERT_EQ(fired.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(fired[i], i) << "n=" << n;
   }
 }
 
 TEST(EventQueue, DenseBurstsAcrossSparseGapsMatchReference) {
-  // Regression for the rebucket width cap: a burst of >64 near-coincident
-  // events inside one bucket forces the calendar to narrow its geometry
-  // mid-window; inserts arriving after the narrowing must still interleave
-  // correctly with entries bucketed under the old width. Alternates dense
-  // bursts, far-future singletons, and pops, checking every pop against an
-  // ordered-set reference.
-  EventQueue q;
+  // Alternates dense bursts of near-coincident events, far-future
+  // singletons, and pops, so the heap swings between deep and shallow
+  // with many near-ties; every pop is checked against the reference.
+  RefModel ref;
   Lcg rng{4242};
-  std::set<std::pair<Time, std::size_t>> pending;
-  std::size_t token = 0;
-  std::size_t fired_token = 0;
-  Time horizon = tls::sim::Time{0};
-  auto sched = [&](Time t) {
-    std::size_t tok = token++;
-    q.schedule(t, [&fired_token, tok] { fired_token = tok; });
-    pending.insert({t, tok});
-  };
   for (int round = 0; round < 200; ++round) {
     std::uint64_t roll = rng.next() % 3;
     if (roll == 0) {
-      // Dense burst: 100 events within a 512-tick span — far denser than
-      // any sane bucket width once the queue has seen sparse gaps.
-      Time base = horizon + static_cast<Time>(rng.next() % 1024);
+      // Dense burst: 100 events within a 512-tick span, so the heap fills
+      // with near-ties that must still leave in (time, seq) order.
+      Time base = ref.horizon() + static_cast<Time>(rng.next() % 1024);
       for (int i = 0; i < 100; ++i) {
-        sched(base + static_cast<Time>(rng.next() % 512));
+        ref.schedule(base + static_cast<Time>(rng.next() % 512));
       }
     } else if (roll == 1) {
-      // Sparse far-future singleton, widening the observed spacing.
-      sched(horizon + static_cast<Time>(1 << 22) +
-            static_cast<Time>(rng.next() % (1u << 24)));
+      // Sparse far-future singleton: it sinks to the bottom of the heap
+      // and surfaces only after the bursts before it have drained.
+      ref.schedule(ref.horizon() + static_cast<Time>(1 << 22) +
+                   static_cast<Time>(rng.next() % (1u << 24)));
     } else {
-      for (int i = 0; i < 40 && !pending.empty(); ++i) {
-        auto it = pending.begin();
-        auto [t, cb] = q.pop();
-        cb();
-        ASSERT_EQ(t, it->first);
-        ASSERT_EQ(fired_token, it->second);
-        horizon = t;
-        pending.erase(it);
+      for (int i = 0; i < 40 && ref.pending() > 0; ++i) {
+        ASSERT_NO_FATAL_FAILURE(ref.pop());
       }
     }
-    ASSERT_EQ(q.size(), pending.size());
+    ASSERT_EQ(ref.queue().size(), ref.pending());
   }
-  while (!pending.empty()) {
-    auto it = pending.begin();
-    auto [t, cb] = q.pop();
-    cb();
-    ASSERT_EQ(t, it->first);
-    ASSERT_EQ(fired_token, it->second);
-    pending.erase(it);
-  }
-  EXPECT_TRUE(q.empty());
+  while (ref.pending() > 0) ASSERT_NO_FATAL_FAILURE(ref.pop());
+  EXPECT_TRUE(ref.queue().empty());
 }
 
 TEST(EventQueue, MillionScheduleCancelSubQuadratic) {

@@ -184,6 +184,17 @@ env TLS_BENCH_SIMCORE_OPS=2000 TLS_BENCH_SIMCORE_HOSTS=64 TLS_BENCH_ITERS=2 \
   TLS_BENCH_JSON_DIR="$smoke_dir" ./build-asan/bench/bench_simcore >/dev/null
 [ -s "$smoke_dir/BENCH_simcore.json" ] \
   || { echo "missing BENCH_simcore.json"; exit 1; }
+# Every queue mix must report the median and range of both sides.
+for mix in fifo_mix cancel_heavy mixed_horizon; do
+  row=$(grep "\"$mix\": {" "$smoke_dir/BENCH_simcore.json") \
+    || { echo "BENCH_simcore.json lacks the $mix row"; exit 1; }
+  for side in queue_eps seed_heap_eps; do
+    for stat in median min max; do
+      grep -q "\"${side}_$stat\": [0-9]" <<<"$row" \
+        || { echo "BENCH_simcore.json $mix lacks ${side}_$stat"; exit 1; }
+    done
+  done
+done
 
 echo "==> [2g/4] bench_diff: perf trajectory vs committed BENCH baselines"
 # Non-fatal: smoke runs use tiny iteration counts (workload-changed rows)
