@@ -1,7 +1,7 @@
 // Simulator-core microbenchmark: the program's EventQueue (a 4-ary heap of
 // 16-byte (time, tag) keys with callbacks in a slot table) against the seed
 // binary-heap queue, plus a 1000-host synthetic fabric drain exercising the
-// SoA chunk rings and the fast-forward lane.
+// SoA chunk rings and the per-chunk port/switch events.
 //
 // The seed queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its
@@ -263,12 +263,11 @@ struct DrainResult {
   std::uint64_t sim_events = 0;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
-  double ff_hit_rate = 0.0;
 };
 
 /// 1000 hosts on the star fabric, one bulk flow per host to a distant peer,
-/// run to completion. Deep per-port backlogs (large flow window) keep the
-/// fast-forward staging lane hot.
+/// run to completion. The large flow window keeps every egress qdisc
+/// backlogged, so the drain measures the loaded per-chunk data path.
 DrainResult run_drain(int hosts, tls::net::Bytes bytes_per_flow) {
   tls::sim::Simulator simulator(1);
   tls::net::FabricConfig config;
@@ -295,16 +294,6 @@ DrainResult run_drain(int hosts, tls::net::Bytes bytes_per_flow) {
   r.sim_events = simulator.dispatched();
   r.events_per_sec =
       r.wall_s > 0 ? static_cast<double>(r.sim_events) / r.wall_s : 0.0;
-  std::uint64_t promotions = 0;
-  std::uint64_t polls = 0;
-  for (int h = 0; h < hosts; ++h) {
-    promotions += fabric.egress(tls::net::HostId{h}).ff_promotions();
-    polls += fabric.egress(tls::net::HostId{h}).ff_polls();
-  }
-  if (promotions + polls > 0) {
-    r.ff_hit_rate = static_cast<double>(promotions) /
-                    static_cast<double>(promotions + polls);
-  }
   return r;
 }
 
@@ -338,11 +327,10 @@ void write_json(std::size_t ops, const std::vector<MixRow>& mixes,
   std::fprintf(
       f,
       "  \"drain\": {\"hosts\": %d, \"flows\": %llu, \"sim_events\": %llu,\n"
-      "            \"events_per_sec\": %.0f, \"ff_hit_rate\": %.4f}\n"
+      "            \"events_per_sec\": %.0f}\n"
       "}\n",
       drain.hosts, static_cast<unsigned long long>(drain.flows),
-      static_cast<unsigned long long>(drain.sim_events), drain.events_per_sec,
-      drain.ff_hit_rate);
+      static_cast<unsigned long long>(drain.sim_events), drain.events_per_sec);
   std::fclose(f);
 }
 
@@ -380,11 +368,10 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(tls::bench::bench_iters());
   DrainResult drain = run_drain(hosts, bytes_per_flow);
   std::printf(
-      "\n%d-host drain: %llu flows, %llu sim events in %.2fs "
-      "(%.0f ev/s), ff hit rate %.1f%%\n",
+      "\n%d-host drain: %llu flows, %llu sim events in %.2fs (%.0f ev/s)\n",
       drain.hosts, static_cast<unsigned long long>(drain.flows),
       static_cast<unsigned long long>(drain.sim_events), drain.wall_s,
-      drain.events_per_sec, 100.0 * drain.ff_hit_rate);
+      drain.events_per_sec);
 
   write_json(ops, mixes, drain, now_s() - t0);
 

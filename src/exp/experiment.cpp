@@ -226,9 +226,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.nic_out_util = nic_out / config.num_hosts;
   }
 
-  // Simulator-core health counters: event-queue activity and the egress
-  // fast-forward hit rate land in the metrics export so a perf regression
-  // in the scheduling substrate is visible from any traced run.
+  // Simulator-core health counters: event-queue activity lands in the
+  // metrics export so a perf regression in the scheduling substrate is
+  // visible from any traced run.
   if (registry) {
     const sim::EventQueue::Stats& qs = simulator.queue_stats();
     auto add = [&](const char* name, std::uint64_t v) {
@@ -239,19 +239,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     add("eventq_popped", qs.popped);
     add("eventq_tombstones_skipped", qs.tombstones_skipped);
     add("eventq_peak_pending", qs.peak_pending);
-    std::uint64_t promotions = 0;
-    std::uint64_t polls = 0;
-    for (net::HostId h{0}; h < net::HostId{config.num_hosts}; ++h) {
-      promotions += fabric.egress(h).ff_promotions();
-      polls += fabric.egress(h).ff_polls();
-    }
-    add("egress_ff_promotions", promotions);
-    add("egress_ff_polls", polls);
-    if (promotions + polls > 0) {
-      registry->gauge("egress_ff_hit_rate", -1, -1, -1)
-          .set(static_cast<double>(promotions) /
-               static_cast<double>(promotions + polls));
-    }
   }
 
   // Artifact writing happens last so a short run that threw earlier leaves

@@ -31,27 +31,21 @@ void EgressPort::submit(Chunk chunk, const FlowSpec& spec) {
                                  chunk.index, chunk.size);
   }
   qdisc_->enqueue(chunk);
-  counters_.peak_backlog_bytes = std::max(
-      counters_.peak_backlog_bytes, staged_bytes_ + qdisc_->backlog_bytes());
+  counters_.peak_backlog_bytes =
+      std::max(counters_.peak_backlog_bytes, qdisc_->backlog_bytes());
   TLS_DCHECK(submitted_bytes_ == counters_.bytes + in_flight_bytes_ +
-                                     staged_bytes_ + qdisc_->backlog_bytes(),
+                                     qdisc_->backlog_bytes(),
              "egress byte conservation broken after submit: submitted=",
              submitted_bytes_, " transmitted=", counters_.bytes,
-             " in_flight=", in_flight_bytes_, " staged=", staged_bytes_,
-             " backlog=", qdisc_->backlog_bytes());
+             " in_flight=", in_flight_bytes_, " backlog=",
+             qdisc_->backlog_bytes());
   kick();
 }
 
 void EgressPort::set_qdisc(std::unique_ptr<Qdisc> qdisc) {
   TLS_CHECK(qdisc, "set_qdisc(nullptr)");
   std::vector<Chunk> backlog;
-  Bytes before = staged_bytes_ + qdisc_->backlog_bytes();
-  // Abort fast-forward staging: staged chunks were dequeued from the old
-  // discipline ahead of the wire, so they re-enter ahead of the drained
-  // backlog to preserve service order.
-  staged_.append_to(backlog);
-  staged_.clear();
-  staged_bytes_ = Bytes{0};
+  Bytes before = qdisc_->backlog_bytes();
   qdisc_->drain(backlog);
   qdisc_ = std::move(qdisc);
   qdisc_->set_obs(sim_.tracer(), host_);
@@ -60,20 +54,6 @@ void EgressPort::set_qdisc(std::unique_ptr<Qdisc> qdisc) {
              "qdisc replacement lost bytes: before=", before, " after=",
              qdisc_->backlog_bytes());
   kick();
-}
-
-void EgressPort::maybe_stage() {
-  // Flow-level fast-forward: while the discipline's drain order is provably
-  // stable under future enqueues and no tracer needs per-chunk dequeue
-  // events at their poll instants, pull a batch out of the qdisc in one
-  // shot and serve the staging lane without further polls.
-  if (sim_.tracer() != nullptr) return;
-  if (!qdisc_->fifo_stable() || qdisc_->backlog_chunks() < 2) return;
-  Bytes before = staged_bytes_ + qdisc_->backlog_bytes();
-  qdisc_->dequeue_batch(sim_.now(), kStageBatch, staged_);
-  staged_bytes_ = before - qdisc_->backlog_bytes();
-  TLS_DCHECK(staged_bytes_ >= Bytes{0}, "staging lane bytes went negative: ",
-             staged_bytes_);
 }
 
 void EgressPort::start_transmit(const Chunk& chunk) {
@@ -96,18 +76,7 @@ void EgressPort::start_transmit(const Chunk& chunk) {
 
 void EgressPort::kick() {
   if (busy_) return;
-  if (staged_.empty()) maybe_stage();
-  if (!staged_.empty()) {
-    // Promotion happens exactly where the poll path would have scheduled
-    // the transmission, so the schedule() call sequence — and therefore
-    // event ordering — is identical to poll-per-chunk.
-    ++ff_promotions_;
-    Chunk chunk = staged_.take_front();
-    staged_bytes_ -= chunk.size;
-    start_transmit(chunk);
-    return;
-  }
-  ++ff_polls_;
+  ++polls_;
   DequeueResult r = qdisc_->dequeue(sim_.now());
   switch (r.kind) {
     case DequeueResult::Kind::kChunk:
@@ -146,11 +115,11 @@ void EgressPort::finish_transmit() {
   TLS_CHECK(in_flight_bytes_ >= Bytes{0}, "egress in-flight bytes went negative: ",
             in_flight_bytes_);
   TLS_DCHECK(submitted_bytes_ == counters_.bytes + in_flight_bytes_ +
-                                     staged_bytes_ + qdisc_->backlog_bytes(),
+                                     qdisc_->backlog_bytes(),
              "egress byte conservation broken after transmit: submitted=",
              submitted_bytes_, " transmitted=", counters_.bytes,
-             " in_flight=", in_flight_bytes_, " staged=", staged_bytes_,
-             " backlog=", qdisc_->backlog_bytes());
+             " in_flight=", in_flight_bytes_, " backlog=",
+             qdisc_->backlog_bytes());
   on_transmit_(chunk);
   kick();
 }
@@ -172,8 +141,6 @@ void IngressPort::arrive(const Chunk& chunk) {
   }
   queue_.push_back(chunk, /*stamp=*/sim_.now());
   backlog_bytes_ += chunk.size;
-  counters_.peak_backlog_bytes =
-      std::max(counters_.peak_backlog_bytes, backlog_bytes_);
   if (!busy_) serve_next();
 }
 

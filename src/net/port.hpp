@@ -18,6 +18,7 @@ namespace tls::net {
 struct PortCounters {
   Bytes bytes{};
   std::uint64_t chunks = 0;
+  /// Egress only: the deepest qdisc backlog seen. Ingress leaves it zero.
   Bytes peak_backlog_bytes{};
 };
 
@@ -62,30 +63,19 @@ class EgressPort {
   void set_host(HostId host);
   HostId host() const { return host_; }
 
-  /// Fast-forward telemetry: chunks served from the staging lane without a
-  /// qdisc poll, vs direct dequeue polls (including idle ones). The hit
-  /// rate promotions/(promotions+polls) measures how much of the drain the
-  /// port fast-forwarded.
-  std::uint64_t ff_promotions() const { return ff_promotions_; }
-  std::uint64_t ff_polls() const { return ff_polls_; }
-  /// Bytes parked in the staging lane (already dequeued from the qdisc,
-  /// not yet on the wire).
-  Bytes staged_bytes() const { return staged_bytes_; }
+  /// Qdisc dequeue polls, idle ones included: one per transmitted chunk
+  /// plus each poll that found nothing to send. Kept only for perfbench's
+  /// `net.ff_polls` counter, until the benchmark-side cleanup drops it.
+  std::uint64_t ff_polls() const { return polls_; }
+  /// Always 0. Kept only for perfbench's `net.ff_promotions` counter,
+  /// until the benchmark-side cleanup drops it.
+  std::uint64_t ff_promotions() const { return 0; }
 
  private:
-  // Chunks batch-staged per qdisc pull; bounds how far ahead of the wire
-  // the port dequeues, so a qdisc swap never migrates a long staged tail.
-  static constexpr std::size_t kStageBatch = 64;
-
   /// Serialization-done handler for the chunk held in `on_wire_`.
   void finish_transmit();
-  /// Puts `chunk` on the wire now. Single point through which both the
-  /// staged fast path and the poll path start a transmission.
+  /// Puts `chunk` on the wire now.
   void start_transmit(const Chunk& chunk);
-  /// Refills the staging lane from the qdisc when fast-forwarding is safe:
-  /// the discipline is fifo-stable and no tracer needs per-chunk dequeue
-  /// events at their poll instants.
-  void maybe_stage();
 
   sim::Simulator& sim_;
   HostId host_ = kNoHost;
@@ -101,17 +91,10 @@ class EgressPort {
   bool retry_armed_ = false;
   sim::EventId retry_event_{};
   PortCounters counters_;
-  // Fast-forward staging lane: chunks already dequeued from a fifo-stable
-  // qdisc in one batch, served in order without further polls. Promotion
-  // happens inside kick() exactly where the poll path would schedule, so
-  // the event schedule order is identical to poll-per-chunk.
-  ChunkRing staged_;
-  Bytes staged_bytes_{};
-  std::uint64_t ff_promotions_ = 0;
-  std::uint64_t ff_polls_ = 0;
+  std::uint64_t polls_ = 0;
   // Byte-conservation bookkeeping: everything submitted is either already
-  // transmitted (counters_.bytes), in flight on the wire, staged, or still
-  // queued in the qdisc.
+  // transmitted (counters_.bytes), in flight on the wire, or still queued
+  // in the qdisc.
   Bytes submitted_bytes_{};
   Bytes in_flight_bytes_{};
 };

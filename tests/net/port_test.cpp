@@ -4,15 +4,18 @@
 
 #include "net/pfifo_qdisc.hpp"
 #include "net/prio_qdisc.hpp"
+#include "obs/trace.hpp"
 
 namespace tls::net {
 namespace {
 
-Chunk make_chunk(FlowId flow, Bytes size, HostId dst = HostId{0}) {
+Chunk make_chunk(FlowId flow, Bytes size, HostId dst = HostId{0},
+                 std::uint32_t index = 0) {
   Chunk c;
   c.flow = flow;
   c.size = size;
   c.dst = dst;
+  c.index = index;
   return c;
 }
 
@@ -35,13 +38,34 @@ TEST_F(PortTest, TransmitsAtLineRate) {
 }
 
 TEST_F(PortTest, SerializesBackToBack) {
-  EgressPort port(simulator, Rate{1000.0},
-                  [&](const Chunk& c) { transmitted.push_back(c); });
-  port.submit(make_chunk(1, tls::net::Bytes{100}), FlowSpec{});
-  port.submit(make_chunk(2, tls::net::Bytes{100}), FlowSpec{});
-  simulator.run();
-  EXPECT_EQ(transmitted.size(), 2u);
-  EXPECT_EQ(simulator.now(), sim::from_seconds(0.2));
+  // 100-byte chunks at 1000 B/s: chunk i completes exactly at (i+1)*0.1 s,
+  // from a shallow and a deep backlog alike. The port polls its qdisc once
+  // per chunk plus one idle probe at the end, whether or not a tracer is
+  // attached.
+  for (std::uint32_t n : {2u, 100u}) {
+    for (bool traced : {false, true}) {
+      SCOPED_TRACE(testing::Message() << n << " chunks, traced=" << traced);
+      sim::Simulator sim(1);
+      obs::Tracer tracer;
+      if (traced) sim.set_tracer(&tracer);
+      std::vector<std::pair<std::uint32_t, sim::Time>> done;
+      EgressPort port(sim, Rate{1000.0}, [&](const Chunk& c) {
+        done.emplace_back(c.index, sim.now());
+      });
+      for (std::uint32_t i = 0; i < n; ++i) {
+        port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i),
+                    FlowSpec{});
+      }
+      sim.run();
+      ASSERT_EQ(done.size(), n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        EXPECT_EQ(done[i].first, i);
+        EXPECT_EQ(done[i].second, sim::from_seconds(0.1) * (i + 1));
+      }
+      EXPECT_EQ(port.counters().chunks, n);
+      EXPECT_EQ(port.ff_polls(), n + 1u);
+    }
+  }
 }
 
 TEST_F(PortTest, ClassifierStampsBand) {
@@ -62,15 +86,25 @@ TEST_F(PortTest, ClassifierStampsBand) {
 }
 
 TEST_F(PortTest, QdiscReplacementMigratesBacklog) {
-  EgressPort port(simulator, Rate{1000.0},
-                  [&](const Chunk& c) { transmitted.push_back(c); });
-  // Queue three chunks; the first goes into service immediately, two stay
-  // in the qdisc.
-  for (int i = 0; i < 3; ++i) port.submit(make_chunk(1, tls::net::Bytes{100}), FlowSpec{});
-  port.set_qdisc(std::make_unique<PrioQdisc>(3));
-  simulator.run();
-  EXPECT_EQ(transmitted.size(), 3u);
-  EXPECT_EQ(port.counters().bytes, tls::net::Bytes{300});
+  // Replace the qdisc before any chunk completes, and mid-flight after two
+  // have: the migrated backlog keeps strict FIFO service order.
+  for (sim::Time swap_at : {sim::Time{0}, sim::from_seconds(0.25)}) {
+    SCOPED_TRACE(testing::Message() << "swap at " << swap_at);
+    sim::Simulator sim(1);
+    std::vector<std::uint32_t> order;
+    EgressPort port(sim, Rate{1000.0},
+                    [&](const Chunk& c) { order.push_back(c.index); });
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i),
+                  FlowSpec{});
+    }
+    sim.run(swap_at);
+    port.set_qdisc(std::make_unique<PrioQdisc>(3));
+    sim.run();
+    ASSERT_EQ(order.size(), 8u);
+    for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
+    EXPECT_EQ(port.counters().bytes, tls::net::Bytes{800});
+  }
 }
 
 TEST_F(PortTest, PeakBacklogTracked) {

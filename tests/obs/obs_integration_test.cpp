@@ -229,21 +229,39 @@ TEST(ObsDeterminism, SerialAndParallelRunSetsWriteIdenticalArtifacts) {
 
 TEST(ObsDeterminism, ArtifactsDoNotPerturbResults) {
   // A traced run must report exactly the metrics an untraced run does —
-  // observability reads simulation state, never steers it. sim_events may
-  // differ (the gauge sampler adds timer events), so compare exports.
-  exp::ExperimentConfig plain = small_scenario();
+  // observability reads simulation state, never steers it. With every
+  // artifact on, sim_events may differ (the gauge sampler adds timer
+  // events), so compare exports. An inert tracer (trace path set, every
+  // category masked off, no sampler) adds no event at all, so there the
+  // event count must match too: this is the gate for the disabled column
+  // of bench_obs_overhead. Both pfifo (FIFO) and htb (TLs-RR) data planes
+  // are covered.
   fs::path dir = tls::testutil::temp_dir() / "tls_obs_perturb";
   fs::remove_all(dir);
-  exp::ExperimentConfig traced = with_artifacts(plain, dir);
-  exp::ExperimentResult a = exp::run_experiment(plain);
-  exp::ExperimentResult b = exp::run_experiment(traced);
-  EXPECT_EQ(a.avg_jct_s, b.avg_jct_s);
-  EXPECT_EQ(a.rotations, b.rotations);
-  EXPECT_EQ(a.tc_commands, b.tc_commands);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    EXPECT_EQ(a.jobs[i].jct_s, b.jobs[i].jct_s) << "job " << i;
-    EXPECT_EQ(a.jobs[i].iterations, b.jobs[i].iterations) << "job " << i;
+  for (core::PolicyKind policy :
+       {core::PolicyKind::kTlsRR, core::PolicyKind::kFifo}) {
+    exp::ExperimentConfig plain = small_scenario();
+    plain.controller.policy = policy;
+    exp::ExperimentConfig traced = with_artifacts(plain, dir);
+    exp::ExperimentConfig inert = plain;
+    inert.obs.trace_path = (dir / "inert.json").string();
+    inert.obs.trace_categories = 0;
+    inert.obs.sample_period = sim::Time{0};
+    exp::ExperimentResult a = exp::run_experiment(plain);
+    exp::ExperimentResult b = exp::run_experiment(traced);
+    exp::ExperimentResult c = exp::run_experiment(inert);
+    EXPECT_EQ(a.sim_events, c.sim_events);
+    for (const exp::ExperimentResult* r : {&b, &c}) {
+      SCOPED_TRACE(r == &b ? "all artifacts" : "inert tracer");
+      EXPECT_EQ(a.avg_jct_s, r->avg_jct_s);
+      EXPECT_EQ(a.rotations, r->rotations);
+      EXPECT_EQ(a.tc_commands, r->tc_commands);
+      ASSERT_EQ(a.jobs.size(), r->jobs.size());
+      for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+        EXPECT_EQ(a.jobs[i].jct_s, r->jobs[i].jct_s) << "job " << i;
+        EXPECT_EQ(a.jobs[i].iterations, r->jobs[i].iterations) << "job " << i;
+      }
+    }
   }
 }
 
