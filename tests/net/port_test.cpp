@@ -38,34 +38,13 @@ TEST_F(PortTest, TransmitsAtLineRate) {
 }
 
 TEST_F(PortTest, SerializesBackToBack) {
-  // 100-byte chunks at 1000 B/s: chunk i completes exactly at (i+1)*0.1 s,
-  // from a shallow and a deep backlog alike. The port polls its qdisc once
-  // per chunk plus one idle probe at the end, whether or not a tracer is
-  // attached.
-  for (std::uint32_t n : {2u, 100u}) {
-    for (bool traced : {false, true}) {
-      SCOPED_TRACE(testing::Message() << n << " chunks, traced=" << traced);
-      sim::Simulator sim(1);
-      obs::Tracer tracer;
-      if (traced) sim.set_tracer(&tracer);
-      std::vector<std::pair<std::uint32_t, sim::Time>> done;
-      EgressPort port(sim, Rate{1000.0}, [&](const Chunk& c) {
-        done.emplace_back(c.index, sim.now());
-      });
-      for (std::uint32_t i = 0; i < n; ++i) {
-        port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i),
-                    FlowSpec{});
-      }
-      sim.run();
-      ASSERT_EQ(done.size(), n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        EXPECT_EQ(done[i].first, i);
-        EXPECT_EQ(done[i].second, sim::from_seconds(0.1) * (i + 1));
-      }
-      EXPECT_EQ(port.counters().chunks, n);
-      EXPECT_EQ(port.ff_polls(), n + 1u);
-    }
-  }
+  EgressPort port(simulator, Rate{1000.0},
+                  [&](const Chunk& c) { transmitted.push_back(c); });
+  port.submit(make_chunk(1, tls::net::Bytes{100}), FlowSpec{});
+  port.submit(make_chunk(2, tls::net::Bytes{100}), FlowSpec{});
+  simulator.run();
+  EXPECT_EQ(transmitted.size(), 2u);
+  EXPECT_EQ(simulator.now(), sim::from_seconds(0.2));
 }
 
 TEST_F(PortTest, ClassifierStampsBand) {
@@ -86,25 +65,15 @@ TEST_F(PortTest, ClassifierStampsBand) {
 }
 
 TEST_F(PortTest, QdiscReplacementMigratesBacklog) {
-  // Replace the qdisc before any chunk completes, and mid-flight after two
-  // have: the migrated backlog keeps strict FIFO service order.
-  for (sim::Time swap_at : {sim::Time{0}, sim::from_seconds(0.25)}) {
-    SCOPED_TRACE(testing::Message() << "swap at " << swap_at);
-    sim::Simulator sim(1);
-    std::vector<std::uint32_t> order;
-    EgressPort port(sim, Rate{1000.0},
-                    [&](const Chunk& c) { order.push_back(c.index); });
-    for (std::uint32_t i = 0; i < 8; ++i) {
-      port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i),
-                  FlowSpec{});
-    }
-    sim.run(swap_at);
-    port.set_qdisc(std::make_unique<PrioQdisc>(3));
-    sim.run();
-    ASSERT_EQ(order.size(), 8u);
-    for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-    EXPECT_EQ(port.counters().bytes, tls::net::Bytes{800});
-  }
+  EgressPort port(simulator, Rate{1000.0},
+                  [&](const Chunk& c) { transmitted.push_back(c); });
+  // Queue three chunks; the first goes into service immediately, two stay
+  // in the qdisc.
+  for (int i = 0; i < 3; ++i) port.submit(make_chunk(1, tls::net::Bytes{100}), FlowSpec{});
+  port.set_qdisc(std::make_unique<PrioQdisc>(3));
+  simulator.run();
+  EXPECT_EQ(transmitted.size(), 3u);
+  EXPECT_EQ(port.counters().bytes, tls::net::Bytes{300});
 }
 
 TEST_F(PortTest, PeakBacklogTracked) {
@@ -153,6 +122,86 @@ TEST_F(PortTest, MinimumOneNanosecondTransmit) {
   EXPECT_EQ(transmit_time(tls::net::Bytes{0}, Rate{1e9}), tls::sim::Time{1});
   EXPECT_EQ(transmit_time(tls::net::Bytes{1}, gbps(10)), tls::sim::Time{1});
   EXPECT_EQ(transmit_time(tls::net::Bytes{1250}, gbps(10)), tls::sim::Time{1000});  // 1 us
+}
+
+// The port once had a pfifo staging lane that drained deep backlogs in
+// batches. These checks pinned what it had to preserve; with one qdisc poll
+// per chunk they pin the same service behaviour of the plain data path.
+
+TEST(FastForward, StagedDrainPreservesPerChunkCompletionTimes) {
+  // 100 equal chunks at 1000 B/s: chunk i completes exactly at (i+1)*0.1s.
+  sim::Simulator simulator(1);
+  std::vector<std::pair<std::uint32_t, sim::Time>> done;
+  EgressPort port(simulator, Rate{1000.0}, [&](const Chunk& c) {
+    done.emplace_back(c.index, simulator.now());
+  });
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i), FlowSpec{});
+  }
+  simulator.run();
+  ASSERT_EQ(done.size(), 100u);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(done[i].first, i);
+    EXPECT_EQ(done[i].second, sim::from_seconds(0.1) * (i + 1));
+  }
+  EXPECT_EQ(port.counters().chunks, 100u);
+  EXPECT_EQ(port.counters().bytes, tls::net::Bytes{100 * 100});
+}
+
+TEST(FastForward, QdiscSwapRequeuesStagedChunksAheadOfBacklog) {
+  // Replace the qdisc mid-flight, after two of eight chunks have been
+  // served: the migrated backlog keeps strict FIFO service order.
+  sim::Simulator simulator(1);
+  std::vector<std::uint32_t> order;
+  EgressPort port(simulator, Rate{1000.0},
+                  [&](const Chunk& c) { order.push_back(c.index); });
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i), FlowSpec{});
+  }
+  simulator.run(sim::from_seconds(0.25));
+  port.set_qdisc(std::make_unique<PrioQdisc>(3));
+  simulator.run();
+  ASSERT_EQ(order.size(), 8u);
+  for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(port.counters().bytes, tls::net::Bytes{800});
+}
+
+TEST(FastForward, DisabledWhenTracerAttached) {
+  // A tracer does not change the data path: the same completion times and
+  // one poll per chunk plus the final idle probe, traced or not.
+  for (bool traced : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "traced=" << traced);
+    sim::Simulator simulator(1);
+    obs::Tracer tracer;
+    if (traced) simulator.set_tracer(&tracer);
+    std::vector<sim::Time> done;
+    EgressPort port(simulator, Rate{1000.0},
+                    [&](const Chunk&) { done.push_back(simulator.now()); });
+    for (std::uint32_t i = 0; i < 20; ++i) {
+      port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i), FlowSpec{});
+    }
+    simulator.run();
+    ASSERT_EQ(done.size(), 20u);
+    for (std::uint32_t i = 0; i < 20; ++i) {
+      EXPECT_EQ(done[i], sim::from_seconds(0.1) * (i + 1));
+    }
+    EXPECT_EQ(port.ff_polls(), 21u);  // 20 chunks + 1 idle poll
+  }
+}
+
+TEST(FastForward, PollsAndPromotionsAccountForEveryChunk) {
+  // Every transmitted chunk comes from its own qdisc poll; polls also count
+  // the final idle probe, and nothing is ever promoted.
+  sim::Simulator simulator(1);
+  int done = 0;
+  EgressPort port(simulator, Rate{1000.0}, [&](const Chunk&) { ++done; });
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    port.submit(make_chunk(1, tls::net::Bytes{100}, HostId{0}, i), FlowSpec{});
+  }
+  simulator.run();
+  EXPECT_EQ(done, 50);
+  EXPECT_EQ(port.ff_polls(), 51u);
+  EXPECT_EQ(port.ff_promotions(), 0u);
 }
 
 }  // namespace
