@@ -1,7 +1,7 @@
 // Simulator-core microbenchmark: the program's EventQueue (a 4-ary heap of
 // 16-byte (time, tag) keys with callbacks in a slot table) against the seed
 // binary-heap queue, plus a 1000-host synthetic fabric drain exercising the
-// SoA chunk rings and the per-chunk port/switch events.
+// chunk FIFOs and the per-chunk port/switch events.
 //
 // The seed queue is embedded below verbatim (modulo namespace) so the
 // comparison always measures the actual seed behavior — in particular its

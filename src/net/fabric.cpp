@@ -123,14 +123,14 @@ void Fabric::admit(FlowId id, FlowState& flow) {
 void Fabric::on_transmit(HostId /*src*/, const Chunk& chunk) {
   // Switch traversal; the switch itself is non-blocking, so the only
   // contention on the receive path is the destination ingress drain.
-  in_switch_.push_back(chunk, /*stamp=*/sim_.now() + config_.switch_latency);
+  in_switch_.push_back({chunk, sim_.now() + config_.switch_latency});
   sim_.schedule_after(config_.switch_latency, [this] { switch_arrive(); });
 }
 
 void Fabric::switch_arrive() {
-  TLS_CHECK(!in_switch_.empty() && in_switch_.front_stamp() == sim_.now(),
+  TLS_CHECK(!in_switch_.empty() && in_switch_.front().at == sim_.now(),
             "switch traversal out of order at ", sim_.now());
-  Chunk chunk = in_switch_.take_front();
+  const Chunk chunk = in_switch_.take_front().chunk;
   ingress(chunk.dst).arrive(chunk);
 }
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/fifo.hpp"
 #include "net/port.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
@@ -105,11 +106,11 @@ class Fabric {
   sim::Rng rng_;
   std::vector<std::unique_ptr<EgressPort>> egress_;
   std::vector<std::unique_ptr<IngressPort>> ingress_;
-  // Chunks traversing the switch, each stamped with its due arrival time.
+  // Chunks traversing the switch, each with its due arrival time.
   // switch_latency is constant and equal-time events fire in scheduling
   // order, so arrivals pop in push order; holding the chunks here lets the
   // traversal event capture only `this`.
-  ChunkRing in_switch_;
+  Fifo<StampedChunk> in_switch_;
   std::unordered_map<FlowId, FlowState> flows_;
   FlowId next_flow_id_ = 1;
   std::uint64_t completed_flows_ = 0;

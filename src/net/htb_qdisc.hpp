@@ -17,7 +17,7 @@
 #include <optional>
 #include <string>
 
-#include "net/chunk_ring.hpp"
+#include "net/fifo.hpp"
 #include "net/qdisc.hpp"
 #include "net/wdrr.hpp"
 
@@ -113,7 +113,7 @@ class HtbQdisc final : public Qdisc {
 
   // Ordered map => deterministic iteration, stable tie-breaking.
   std::map<std::uint32_t, LeafClass> classes_;
-  ChunkRing direct_;  // unclassified, unshaped
+  Fifo<Chunk> direct_;  // unclassified, unshaped
   Bytes direct_bytes_{};
   QdiscStats stats_;
   ByteLedger ledger_;

@@ -9,7 +9,7 @@
 
 #include <array>
 
-#include "net/chunk_ring.hpp"
+#include "net/fifo.hpp"
 #include "net/qdisc.hpp"
 
 namespace tls::net {
@@ -37,7 +37,7 @@ class PfifoFastQdisc final : public Qdisc {
   }
 
  private:
-  std::array<ChunkRing, kBands> bands_;
+  std::array<Fifo<Chunk>, kBands> bands_;
   std::array<Bytes, kBands> band_bytes_{};
   QdiscStats stats_;
   ByteLedger ledger_;

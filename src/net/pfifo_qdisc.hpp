@@ -6,7 +6,7 @@
 // qdisc. Lossless (no tail drop); see DESIGN.md §4.
 #pragma once
 
-#include "net/chunk_ring.hpp"
+#include "net/fifo.hpp"
 #include "net/qdisc.hpp"
 
 namespace tls::net {
@@ -25,7 +25,7 @@ class PfifoQdisc final : public Qdisc {
   std::string stats_text() const override;
 
  private:
-  ChunkRing queue_;
+  Fifo<Chunk> queue_;
   Bytes backlog_bytes_{};
   QdiscStats stats_;
   ByteLedger ledger_;

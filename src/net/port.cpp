@@ -139,7 +139,7 @@ void IngressPort::arrive(const Chunk& chunk) {
                                   static_cast<std::int64_t>(chunk.flow),
                                   chunk.index, chunk.size);
   }
-  queue_.push_back(chunk, /*stamp=*/sim_.now());
+  queue_.push_back({chunk, sim_.now()});
   backlog_bytes_ += chunk.size;
   if (!busy_) serve_next();
 }
@@ -150,8 +150,9 @@ void IngressPort::serve_next() {
     return;
   }
   busy_ = true;
-  in_service_arrived_at_ = queue_.front_stamp();
-  in_service_ = queue_.take_front();
+  const StampedChunk next = queue_.take_front();
+  in_service_ = next.chunk;
+  in_service_arrived_at_ = next.at;
   backlog_bytes_ -= in_service_.size;
   TLS_CHECK(backlog_bytes_ >= Bytes{0}, "ingress backlog went negative: ",
             backlog_bytes_);

@@ -6,8 +6,8 @@
 #include <functional>
 #include <memory>
 
-#include "net/chunk_ring.hpp"
 #include "net/classifier.hpp"
+#include "net/fifo.hpp"
 #include "net/qdisc.hpp"
 #include "simcore/simulator.hpp"
 
@@ -131,10 +131,9 @@ class IngressPort {
   HostId host_ = kNoHost;
   Rate rate_;
   Delivered on_delivered_;
-  /// FIFO of waiting chunks; the ring's stamp lane records each chunk's
-  /// arrival instant (fan-in wait and residence trace fields derive from
-  /// it), replacing a second parallel deque.
-  ChunkRing queue_;
+  /// Waiting chunks with their arrival instants (fan-in wait and residence
+  /// trace fields derive from them).
+  Fifo<StampedChunk> queue_;
   Bytes backlog_bytes_{};
   bool busy_ = false;
   // The chunk being drained (meaningful while busy_), with its arrival

@@ -5,7 +5,7 @@
 // overdraws it by its size, matching the htb leaf semantics.
 #pragma once
 
-#include "net/chunk_ring.hpp"
+#include "net/fifo.hpp"
 #include "net/qdisc.hpp"
 
 namespace tls::net {
@@ -32,7 +32,7 @@ class TbfQdisc final : public Qdisc {
 
  private:
   TbfConfig config_;
-  ChunkRing queue_;
+  Fifo<Chunk> queue_;
   Bytes backlog_bytes_{};
   double tokens_;
   sim::Time last_refill_{};

@@ -44,8 +44,7 @@ std::optional<Chunk> WdrrBand::dequeue() {
     FlowQueue& fq = it->second;
     TLS_CHECK(!fq.chunks.empty(), "wdrr: active flow ", fid,
               " has an empty queue");
-    // One-lane peek: the DRR decision needs only the head chunk's size.
-    const Bytes head_size = fq.chunks.front_size();
+    const Bytes head_size = fq.chunks.front().size;
     if (fq.deficit < head_size) {
       fq.deficit +=
           Bytes{static_cast<std::int64_t>(to_double(quantum_) * fq.weight)};

@@ -7,12 +7,11 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 
 #include "net/chunk.hpp"
-#include "net/chunk_ring.hpp"
+#include "net/fifo.hpp"
 
 namespace tls::net {
 
@@ -24,12 +23,6 @@ class WdrrBand {
   /// it should be at least the common chunk size or DRR degenerates into
   /// multi-round spinning.
   explicit WdrrBand(Bytes quantum = 128 * kKiB);
-
-  // Move-only: the per-flow ChunkRings own arena allocations.
-  WdrrBand(WdrrBand&&) = default;
-  WdrrBand& operator=(WdrrBand&&) = default;
-  WdrrBand(const WdrrBand&) = delete;
-  WdrrBand& operator=(const WdrrBand&) = delete;
 
   void enqueue(const Chunk& chunk);
 
@@ -48,7 +41,7 @@ class WdrrBand {
 
  private:
   struct FlowQueue {
-    ChunkRing chunks;
+    Fifo<Chunk> chunks;
     double weight = 1.0;
     Bytes deficit{};
     bool in_round = false;  // currently on the active list
@@ -60,7 +53,7 @@ class WdrrBand {
 
   Bytes quantum_;
   std::unordered_map<FlowId, FlowQueue> flows_;
-  std::deque<FlowId> active_;
+  Fifo<FlowId> active_;
   Bytes backlog_bytes_{};
   std::size_t backlog_chunks_ = 0;
 };

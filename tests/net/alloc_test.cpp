@@ -1,4 +1,4 @@
-// Allocation regression test for the per-chunk data path.
+// Allocation regression tests for the per-chunk data path.
 //
 // Every chunk costs three events (egress serialization done, switch
 // traversal, ingress delivery). Their callbacks must capture only the
@@ -7,7 +7,8 @@
 // replaces the global operator new with a counting one and checks that
 // draining one flow allocates fewer times than the flow has chunks; a
 // callback that captures a Chunk by value allocates once per event, i.e.
-// at least three times per chunk.
+// at least three times per chunk. The queues the chunks wait in are
+// net::Fifo rings, which must allocate only when they double.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <new>
 
 #include "net/fabric.hpp"
+#include "net/fifo.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -61,6 +63,37 @@ TEST(FabricAllocations, ChunkDrainAllocatesLessThanOncePerChunk) {
   ASSERT_GT(before, 0u);
   EXPECT_LT(during, kChunks) << "Simulator::run allocated " << during
                              << " times for " << kChunks << " chunks";
+}
+
+TEST(FifoAllocations, SteadyDepthCyclingAllocatesNothing) {
+  constexpr std::uint32_t kDepth = 100;
+  Fifo<Chunk> fifo;
+  Chunk chunk;
+  for (std::uint32_t i = 0; i < kDepth; ++i) {
+    chunk.index = i;
+    fifo.push_back(chunk);
+  }
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint32_t i = kDepth; i < kDepth + 10'000; ++i) {
+    chunk.index = i;
+    fifo.push_back(chunk);
+    ASSERT_EQ(fifo.take_front().index, i - kDepth);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(fifo.size(), kDepth);
+}
+
+TEST(FifoAllocations, GrowthAllocatesOncePerDoubling) {
+  // 16 slots on the first push, then one allocation per doubling: reaching
+  // 1000 elements passes through 16, 32, 64, 128, 256, 512 and 1024 slots.
+  Fifo<Chunk> fifo;
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint32_t i = 0; i < 1000; ++i) fifo.push_back(Chunk{});
+  EXPECT_EQ(g_allocations.load() - before, 7u);
+  // Draining and refilling to the same depth reuses the slots.
+  fifo.clear();
+  for (std::uint32_t i = 0; i < 1000; ++i) fifo.push_back(Chunk{});
+  EXPECT_EQ(g_allocations.load() - before, 7u);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
-// ChunkRing unit tests: FIFO fidelity across growth and wraparound, full
-// field round-tripping through the SoA lanes, and stamp-lane survival.
-#include "net/chunk_ring.hpp"
+// Fifo unit tests: FIFO fidelity across growth and wraparound, full field
+// round-tripping, and stamped elements surviving growth. The cases keep
+// the ChunkRing.* names of the ring Fifo replaced, so their history stays
+// traceable.
+#include "net/fifo.hpp"
 
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
+
+#include "net/chunk.hpp"
 
 namespace tls::net {
 namespace {
@@ -39,7 +43,7 @@ void expect_same(const Chunk& a, const Chunk& b) {
 }
 
 TEST(ChunkRing, RoundTripsEveryField) {
-  ChunkRing ring;
+  Fifo<Chunk> ring;
   for (std::uint32_t i = 0; i < 3; ++i) ring.push_back(make_chunk(i));
   for (std::uint32_t i = 0; i < 3; ++i) {
     expect_same(ring.take_front(), make_chunk(i));
@@ -48,7 +52,7 @@ TEST(ChunkRing, RoundTripsEveryField) {
 }
 
 TEST(ChunkRing, FifoAcrossGrowthAndWraparound) {
-  ChunkRing ring;
+  Fifo<Chunk> ring;
   // Interleave pushes and pops so head_ walks around the ring while the
   // ring grows through several capacities.
   std::uint32_t next_push = 0;
@@ -65,31 +69,23 @@ TEST(ChunkRing, FifoAcrossGrowthAndWraparound) {
   EXPECT_EQ(next_pop, next_push);
 }
 
-TEST(ChunkRing, FrontPeeksReadSingleLanes) {
-  ChunkRing ring;
-  ring.push_back(make_chunk(4), /*stamp=*/tls::sim::Time{777});
-  EXPECT_EQ(ring.front_size(), make_chunk(4).size);
-  EXPECT_EQ(ring.front_stamp(), tls::sim::Time{777});
-  EXPECT_EQ(ring.size(), 1u);  // peeks do not consume
-}
-
 TEST(ChunkRing, StampLaneSurvivesGrowth) {
-  ChunkRing ring;
+  Fifo<StampedChunk> ring;
   // Fill beyond the initial capacity and beyond one doubling, with a pop
   // first so the copied range is offset from slot zero.
-  ring.push_back(make_chunk(0), tls::sim::Time{0});
+  ring.push_back({make_chunk(0), tls::sim::Time{0}});
   ring.pop_front();
   for (std::uint32_t i = 1; i <= 100; ++i) {
-    ring.push_back(make_chunk(i), static_cast<sim::Time>(1000 + i));
+    ring.push_back({make_chunk(i), static_cast<sim::Time>(1000 + i)});
   }
   for (std::uint32_t i = 1; i <= 100; ++i) {
-    EXPECT_EQ(ring.front_stamp(), static_cast<sim::Time>(1000 + i));
-    expect_same(ring.take_front(), make_chunk(i));
+    EXPECT_EQ(ring.front().at, static_cast<sim::Time>(1000 + i));
+    expect_same(ring.take_front().chunk, make_chunk(i));
   }
 }
 
 TEST(ChunkRing, AppendToPreservesServiceOrder) {
-  ChunkRing ring;
+  Fifo<Chunk> ring;
   for (std::uint32_t i = 0; i < 10; ++i) ring.push_back(make_chunk(i));
   ring.pop_front();
   ring.pop_front();
@@ -105,21 +101,23 @@ TEST(ChunkRing, AppendToPreservesServiceOrder) {
 }
 
 TEST(ChunkRing, ClearThenReuse) {
-  ChunkRing ring;
-  for (std::uint32_t i = 0; i < 20; ++i) ring.push_back(make_chunk(i));
+  Fifo<StampedChunk> ring;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    ring.push_back({make_chunk(i), tls::sim::Time{1}});
+  }
   ring.clear();
   EXPECT_TRUE(ring.empty());
-  ring.push_back(make_chunk(7), tls::sim::Time{42});
-  EXPECT_EQ(ring.front_stamp(), tls::sim::Time{42});
-  expect_same(ring.take_front(), make_chunk(7));
+  ring.push_back({make_chunk(7), tls::sim::Time{42}});
+  EXPECT_EQ(ring.front().at, tls::sim::Time{42});
+  expect_same(ring.take_front().chunk, make_chunk(7));
 }
 
 TEST(ChunkRing, MoveTransfersArena) {
-  ChunkRing a;
+  Fifo<Chunk> a;
   for (std::uint32_t i = 0; i < 5; ++i) a.push_back(make_chunk(i));
-  ChunkRing b = std::move(a);
+  Fifo<Chunk> b = std::move(a);
   EXPECT_EQ(b.size(), 5u);
-  ChunkRing c;
+  Fifo<Chunk> c;
   c.push_back(make_chunk(9));
   c = std::move(b);
   EXPECT_EQ(c.size(), 5u);

@@ -196,6 +196,21 @@ for mix in fifo_mix cancel_heavy mixed_horizon; do
   done
 done
 
+echo "==> [2f2/4] bench_obs_overhead smoke: interleaved obs modes under ASan"
+cmake --build --preset debug-asan -j "$jobs" --target bench_obs_overhead
+# Run inside $smoke_dir: the bench writes its trace artifacts into cwd.
+(cd "$smoke_dir" && env TLS_BENCH_ITERS=2 TLS_BENCH_JSON_DIR="$smoke_dir" \
+  "$root/build-asan/bench/bench_obs_overhead" >/dev/null)
+[ -s "$smoke_dir/BENCH_obs_overhead.json" ] \
+  || { echo "missing BENCH_obs_overhead.json"; exit 1; }
+# Every mode must report the median and range of its interleaved rounds.
+for mode in off disabled enabled; do
+  for stat in median min max; do
+    grep -q "\"wall_s_${mode}_$stat\": [0-9]" "$smoke_dir/BENCH_obs_overhead.json" \
+      || { echo "BENCH_obs_overhead.json lacks wall_s_${mode}_$stat"; exit 1; }
+  done
+done
+
 echo "==> [2g/4] bench_diff: perf trajectory vs committed BENCH baselines"
 # Non-fatal: smoke runs use tiny iteration counts (workload-changed rows)
 # and ASan wall clock is noisy; the table is for eyeballs, the exit code
